@@ -1,4 +1,4 @@
-// Micro-benchmark: kNN backends (brute scan vs k-d tree) and the Fenwick
+// Micro-benchmark: kNN backends (brute scan, k-d tree, grid) and the Fenwick
 // rank index — the data-structure ablation of Section 5.1's complexity
 // discussion — plus the BM_Kernel* rows: each vectorized tycos::simd
 // kernel against its scalar twin on the same buffer, isolating the SIMD
@@ -38,8 +38,14 @@ void BM_BruteAllPoints(benchmark::State& state) {
     }
   }
 }
+// 16-95 are the window sizes the discover and serve workloads evaluate
+// (window_m p50 30, p99 92); 57 and 95 leave a scalar tail at every SIMD
+// width.
 BENCHMARK(BM_BruteAllPoints)
-    ->Arg(64)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(57)
+    ->Arg(95)
     ->Arg(256)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
@@ -111,35 +117,15 @@ void BM_KernelChebyshevToProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelChebyshevToProbe<&simd::ChebyshevToProbe>)
     ->Name("BM_KernelChebyshevToProbe/simd")
+    ->Arg(32)
+    ->Arg(95)
     ->Arg(256)
     ->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_KernelChebyshevToProbe<&simd::ChebyshevToProbeScalar>)
     ->Name("BM_KernelChebyshevToProbe/scalar")
-    ->Arg(256)
-    ->Arg(4096)
-    ->Unit(benchmark::kMicrosecond);
-
-template <size_t (*Fn)(const double*, size_t, double, double, double,
-                       int32_t*, double*)>
-void BM_KernelChebyshevWithin(benchmark::State& state) {
-  const auto xy = MakeInterleaved(state.range(0));
-  std::vector<int32_t> idx(static_cast<size_t>(state.range(0)));
-  std::vector<double> dist(static_cast<size_t>(state.range(0)));
-  // ~1% survivors: the filter regime the blocked kNN threshold scan runs
-  // in once the heap has warmed up.
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Fn(xy.data(), dist.size(), 0.25, -0.5, 0.03,
-                                idx.data(), dist.data()));
-  }
-}
-BENCHMARK(BM_KernelChebyshevWithin<&simd::ChebyshevWithin>)
-    ->Name("BM_KernelChebyshevWithin/simd")
-    ->Arg(256)
-    ->Arg(4096)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_KernelChebyshevWithin<&simd::ChebyshevWithinScalar>)
-    ->Name("BM_KernelChebyshevWithin/scalar")
+    ->Arg(32)
+    ->Arg(95)
     ->Arg(256)
     ->Arg(4096)
     ->Unit(benchmark::kMicrosecond);

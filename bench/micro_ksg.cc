@@ -37,8 +37,12 @@ void BM_KsgBrute(benchmark::State& state) {
     benchmark::DoNotOptimize(KsgMi(xs, ys, o));
   }
 }
+// 16-95: the window sizes the discover and serve workloads evaluate.
 BENCHMARK(BM_KsgBrute)
-    ->Arg(64)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(57)
+    ->Arg(95)
     ->Arg(256)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);

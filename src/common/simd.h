@@ -20,7 +20,9 @@
 //
 // All intrinsics live in src/common/simd.cc — tools/lint.py --simd-hygiene
 // rejects them anywhere else, so the baseline-ISA guarantee of the rest of
-// the tree is auditable.
+// the tree is auditable. The same check holds every avx2:: kernel to
+// finishing its tail inline: a trailing call to a non-AVX2 function becomes
+// a sibling jmp that skips vzeroupper (see DESIGN.md "SIMD kernels").
 
 #ifndef TYCOS_COMMON_SIMD_H_
 #define TYCOS_COMMON_SIMD_H_
@@ -42,7 +44,8 @@ size_t LaneCount();
 // `xy` is an interleaved (x0, y0, x1, y1, ...) array of n points — the
 // in-memory layout of std::vector<Point2> (asserted at the call sites).
 
-// out[i] = max(|xy[2i] - px|, |xy[2i+1] - py|) for i in [0, n).
+// out[i] = max(|xy[2i] - px|, |xy[2i+1] - py|) for i in [0, n). The
+// distance row of every brute kNN scan (knn/brute_knn.cc).
 void ChebyshevToProbe(const double* xy, size_t n, double px, double py,
                       double* out);
 void ChebyshevToProbeScalar(const double* xy, size_t n, double px, double py,
@@ -54,21 +57,6 @@ void ChebyshevToProbeIdx(const double* xy, const int32_t* idx, size_t n,
                          double px, double py, double* out);
 void ChebyshevToProbeIdxScalar(const double* xy, const int32_t* idx, size_t n,
                                double px, double py, double* out);
-
-// Fused distance scan + threshold filter — the kNN scan hot path. Appends
-// (index, distance) of every point whose L∞ distance from the probe is
-// <= thresh to the out arrays IN INDEX ORDER and returns the survivor
-// count (out arrays must have room for n entries). The caller keeps the
-// exact heap logic but only runs it on survivors; a vector block with no
-// survivor costs two compares+movemasks. The distance follows std::max
-// semantics exactly (a NaN x-delta poisons d, a NaN y-delta is ignored),
-// so a NaN distance never survives — callers pass finite points anyway,
-// as the estimators guarantee.
-size_t ChebyshevWithin(const double* xy, size_t n, double px, double py,
-                       double thresh, int32_t* out_idx, double* out_dist);
-size_t ChebyshevWithinScalar(const double* xy, size_t n, double px, double py,
-                             double thresh, int32_t* out_idx,
-                             double* out_dist);
 
 // --- Marginal range counts -------------------------------------------------
 
@@ -133,8 +121,6 @@ void ChebyshevToProbe(const double* xy, size_t n, double px, double py,
                       double* out);
 void ChebyshevToProbeIdx(const double* xy, const int32_t* idx, size_t n,
                          double px, double py, double* out);
-size_t ChebyshevWithin(const double* xy, size_t n, double px, double py,
-                       double thresh, int32_t* out_idx, double* out_dist);
 size_t CountWithinInterleaved(const double* base, size_t n, double center,
                               double d);
 size_t LowerBound(const double* v, size_t n, double key);
@@ -149,8 +135,6 @@ void ChebyshevToProbe(const double* xy, size_t n, double px, double py,
                       double* out);
 void ChebyshevToProbeIdx(const double* xy, const int32_t* idx, size_t n,
                          double px, double py, double* out);
-size_t ChebyshevWithin(const double* xy, size_t n, double px, double py,
-                       double thresh, int32_t* out_idx, double* out_dist);
 size_t CountWithinInterleaved(const double* base, size_t n, double center,
                               double d);
 size_t LowerBound(const double* v, size_t n, double key);

@@ -8,9 +8,24 @@
 #include <cstddef>
 #include <vector>
 
+#include "knn/knn_selector.h"
 #include "knn/point.h"
 
 namespace tycos {
+
+// Reusable buffers of one brute scan: the distance row and the selector.
+// Once grown to the point count and k, a scan allocates nothing.
+struct BruteKnnScratch {
+  std::vector<double> row;
+  KnnSelector selector;
+};
+
+// The brute kernel: one vectorized L∞ distance row from `probe` to
+// points[0, n), then an index-order pass of the selector over it. Returns
+// the extents of the k nearest, skipping index `exclude` (pass n to exclude
+// nothing). Requires k >= 1 and at least k candidates.
+KnnExtents BruteKnnScan(const Point2* points, size_t n, const Point2& probe,
+                        int k, size_t exclude, BruteKnnScratch* scratch);
 
 // Finds the per-dimension extents of the k nearest neighbours (L∞, self
 // excluded) of points[query] among `points`. Requires k >= 1 and

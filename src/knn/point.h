@@ -12,6 +12,14 @@ struct Point2 {
   double y = 0.0;
 };
 
+// The interleaved (x0, y0, x1, y1, ...) view of a Point2 array that the
+// SIMD distance and count kernels (common/simd.h) scan.
+static_assert(sizeof(Point2) == 2 * sizeof(double),
+              "Point2 must be two packed doubles");
+inline const double* AsXy(const Point2* points) {
+  return reinterpret_cast<const double*>(points);
+}
+
 // L∞ (maximum norm) distance, the metric of the paper's KSG formulation.
 inline double ChebyshevDistance(const Point2& a, const Point2& b) {
   return std::max(std::fabs(a.x - b.x), std::fabs(a.y - b.y));

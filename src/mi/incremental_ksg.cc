@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "audit/audit.h"
+#include "common/simd.h"
 #include "knn/brute_knn.h"
 #include "knn/kd_tree.h"
 #include "obs/metrics.h"
@@ -107,42 +108,45 @@ int64_t IncrementalKsg::CountMarginalY(double y, double dy) const {
 }
 
 KnnExtents IncrementalKsg::ScanKnn(const Point2& probe,
-                                   size_t exclude_slot) const {
-  // Max-heap of the best k candidates ordered by (distance, slot) — the same
-  // deterministic tie-break as the batch backends.
-  using Cand = std::pair<double, size_t>;
-  std::vector<Cand>& heap = knn_scratch_;
-  heap.clear();
-  heap.reserve(static_cast<size_t>(k_) + 1);
-  for (size_t j = 0; j < points_.size(); ++j) {
-    if (j == exclude_slot) continue;
-    const double d = ChebyshevDistance(points_[j].p, probe);
-    if (heap.size() < static_cast<size_t>(k_)) {
-      heap.emplace_back(d, j);
-      std::push_heap(heap.begin(), heap.end());
-    } else if (Cand(d, j) < heap.front()) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.back() = Cand(d, j);
-      std::push_heap(heap.begin(), heap.end());
-    }
+                                   size_t exclude_slot) {
+  // Slots are in index order, so the shared brute kernel applies the same
+  // (distance, slot) tie-break as the batch backends.
+  return BruteKnnScan(Coords(), count_, probe, k_, exclude_slot,
+                      &knn_scratch_);
+}
+
+void IncrementalKsg::Recentre(size_t points) {
+  const size_t room = std::max<size_t>(points / 2, 16);
+  const size_t capacity = std::max(coords_.size(), points + 2 * room);
+  const size_t head = (capacity - points) / 2;
+  if (capacity > coords_.size()) {
+    std::vector<Point2> coords(capacity);
+    std::vector<PointState> states(capacity);
+    std::copy_n(Coords(), count_, coords.data() + head);
+    std::copy_n(States(), count_, states.data() + head);
+    coords_.swap(coords);
+    states_.swap(states);
+  } else if (head < head_) {
+    std::copy(Coords(), Coords() + count_, coords_.data() + head);
+    std::copy(States(), States() + count_, states_.data() + head);
+  } else {
+    std::copy_backward(Coords(), Coords() + count_,
+                       coords_.data() + head + count_);
+    std::copy_backward(States(), States() + count_,
+                       states_.data() + head + count_);
   }
-  TYCOS_CHECK_EQ(heap.size(), static_cast<size_t>(k_));
-  KnnExtents e;
-  for (const Cand& c : heap) {
-    e.dx = std::max(e.dx, std::fabs(points_[c.second].p.x - probe.x));
-    e.dy = std::max(e.dy, std::fabs(points_[c.second].p.y - probe.y));
-  }
-  return e;
+  head_ = head;
 }
 
 void IncrementalKsg::RecomputePoint(size_t slot) {
-  PointState& st = points_[slot];
+  PointState& st = States()[slot];
+  const Point2 p = Coords()[slot];
   sum_psi_ -= PsiClamped(psi_, st.nx) + PsiClamped(psi_, st.ny);
-  const KnnExtents e = ScanKnn(st.p, slot);
+  const KnnExtents e = ScanKnn(p, slot);
   st.dx = e.dx;
   st.dy = e.dy;
-  st.nx = CountMarginalX(st.p.x, st.dx);
-  st.ny = CountMarginalY(st.p.y, st.dy);
+  st.nx = CountMarginalX(p.x, st.dx);
+  st.ny = CountMarginalY(p.y, st.dy);
   sum_psi_ += PsiClamped(psi_, st.nx) + PsiClamped(psi_, st.ny);
   ++stats_.knn_recomputes;
 }
@@ -151,12 +155,12 @@ void IncrementalKsg::Rebuild(const Window& w) {
   TYCOS_SPAN("ksg_rebuild");
   // Erase by precomputed rank: slot j holds global X index start_ + j (the
   // OLD start_/delay_, still current at this point).
-  for (size_t j = 0; j < points_.size(); ++j) {
+  for (size_t j = 0; j < count_; ++j) {
     const int64_t gx = start_ + static_cast<int64_t>(j);
     x_index_.EraseAtRank(rank_x_[static_cast<size_t>(gx)]);
     y_index_.EraseAtRank(rank_y_[static_cast<size_t>(gx + delay_)]);
   }
-  points_.clear();
+  count_ = 0;
   sum_psi_ = 0.0;
 
   start_ = w.start;
@@ -169,17 +173,18 @@ void IncrementalKsg::Rebuild(const Window& w) {
   }
   has_window_ = true;
 
-  std::vector<Point2>& pts = rebuild_scratch_;
-  pts.clear();
-  pts.resize(static_cast<size_t>(m));
+  Recentre(static_cast<size_t>(m));
+  count_ = static_cast<size_t>(m);
+  Point2* pts = Coords();
   for (int64_t i = 0; i < m; ++i) {
-    pts[static_cast<size_t>(i)] = PointAt(start_ + i, delay_);
+    pts[i] = PointAt(start_ + i, delay_);
     x_index_.InsertAtRank(rank_x_[static_cast<size_t>(start_ + i)]);
     y_index_.InsertAtRank(rank_y_[static_cast<size_t>(start_ + i + delay_)]);
   }
 
   const bool use_tree = m > 256;
-  KdTree tree(use_tree ? pts : std::vector<Point2>{});
+  KdTree tree(use_tree ? std::vector<Point2>(pts, pts + m)
+                       : std::vector<Point2>{});
 #if TYCOS_AUDIT_ENABLED
   // Backend-agreement audit: the k-d tree fast path must return extents
   // bit-identical to the brute reference (same deterministic tie-break).
@@ -189,14 +194,12 @@ void IncrementalKsg::Rebuild(const Window& w) {
   const int64_t audit_stride = std::max<int64_t>(1, m / 8);
 #endif
   for (int64_t i = 0; i < m; ++i) {
-    PointState st;
-    st.p = pts[static_cast<size_t>(i)];
-    const KnnExtents e =
-        use_tree ? tree.QueryExtents(static_cast<size_t>(i), k_)
-                 : BruteKnnExtents(pts, static_cast<size_t>(i), k_);
+    const size_t slot = static_cast<size_t>(i);
+    const KnnExtents e = use_tree ? tree.QueryExtents(slot, k_)
+                                  : ScanKnn(pts[slot], slot);
 #if TYCOS_AUDIT_ENABLED
     if (audit_rebuild && i % audit_stride == 0) {
-      const KnnExtents b = BruteKnnExtents(pts, static_cast<size_t>(i), k_);
+      const KnnExtents b = ScanKnn(pts[slot], slot);
       TYCOS_AUDIT_CHECK(knn_audit, e.dx == b.dx && e.dy == b.dy,
                         "kd-tree extents diverge from brute at point " +
                             std::to_string(i) + " of m=" + std::to_string(m) +
@@ -206,12 +209,12 @@ void IncrementalKsg::Rebuild(const Window& w) {
                             ")");
     }
 #endif
+    PointState& st = States()[slot];
     st.dx = e.dx;
     st.dy = e.dy;
-    st.nx = CountMarginalX(st.p.x, st.dx);
-    st.ny = CountMarginalY(st.p.y, st.dy);
+    st.nx = CountMarginalX(pts[slot].x, st.dx);
+    st.ny = CountMarginalY(pts[slot].y, st.dy);
     sum_psi_ += PsiClamped(psi_, st.nx) + PsiClamped(psi_, st.ny);
-    points_.push_back(st);
   }
   ++stats_.full_rebuilds;
   // One registry write per rebuild (not per query): the backend answered m
@@ -221,116 +224,100 @@ void IncrementalKsg::Rebuild(const Window& w) {
   (use_tree ? kd_queries : brute_queries)->Add(m);
 }
 
+void IncrementalKsg::ClassifyEdit(const Point2& o, int64_t delta) {
+  std::vector<size_t>& to_recompute = recompute_scratch_;
+  to_recompute.clear();
+  // IR membership is tested on the same distance-row kernel the kNN scan
+  // uses, so a point exactly at its k-th distance (e.g. the defining
+  // neighbour) is classified identically — reconstructing box bounds as
+  // p.x ± d would round differently and miss it.
+  if (edit_row_.size() < count_) edit_row_.resize(count_);
+  const Point2* pts = Coords();
+  simd::ChebyshevToProbe(AsXy(pts), count_, o.x, o.y, edit_row_.data());
+  PointState* states = States();
+  for (size_t j = 0; j < count_; ++j) {
+    PointState& p = states[j];
+    if (edit_row_[j] <= std::max(p.dx, p.dy)) {
+      to_recompute.push_back(j);
+      continue;
+    }
+    if (o.x >= pts[j].x - p.dx && o.x <= pts[j].x + p.dx) {
+      sum_psi_ -= PsiClamped(psi_, p.nx);
+      p.nx += delta;
+      sum_psi_ += PsiClamped(psi_, p.nx);
+      ++stats_.marginal_updates;
+    }
+    if (o.y >= pts[j].y - p.dy && o.y <= pts[j].y + p.dy) {
+      sum_psi_ -= PsiClamped(psi_, p.ny);
+      p.ny += delta;
+      sum_psi_ += PsiClamped(psi_, p.ny);
+      ++stats_.marginal_updates;
+    }
+  }
+}
+
 void IncrementalKsg::AddPoint(int64_t global_index) {
   TYCOS_CHECK(global_index == start_ - 1 || global_index == end_ + 1);
   const bool at_front = global_index == start_ - 1;
   const Point2 o = PointAt(global_index, delay_);
 
-  // Classify existing points: IR hit -> kNN recompute; IMR hit -> count bump
-  // (Lemmas 3 and 5).
-  std::vector<size_t>& to_recompute = recompute_scratch_;
-  to_recompute.clear();
-  for (size_t j = 0; j < points_.size(); ++j) {
-    PointState& p = points_[j];
-    // IR membership is tested with the same ChebyshevDistance computation
-    // the kNN search uses, so a point exactly at the k-th distance (e.g. the
-    // defining neighbour) is classified identically — reconstructing box
-    // bounds as p.x ± d would round differently and miss it.
-    const double d = std::max(p.dx, p.dy);
-    const bool in_ir = ChebyshevDistance(o, p.p) <= d;
-    if (in_ir) {
-      to_recompute.push_back(j);
-      continue;
-    }
-    if (o.x >= p.p.x - p.dx && o.x <= p.p.x + p.dx) {
-      sum_psi_ -= PsiClamped(psi_, p.nx);
-      ++p.nx;
-      sum_psi_ += PsiClamped(psi_, p.nx);
-      ++stats_.marginal_updates;
-    }
-    if (o.y >= p.p.y - p.dy && o.y <= p.p.y + p.dy) {
-      sum_psi_ -= PsiClamped(psi_, p.ny);
-      ++p.ny;
-      sum_psi_ += PsiClamped(psi_, p.ny);
-      ++stats_.marginal_updates;
-    }
-  }
+  // IR hits -> kNN recompute; IMR hits -> count bump (Lemmas 3 and 5).
+  ClassifyEdit(o, +1);
 
   // Insert the new point (by precomputed rank).
   x_index_.InsertAtRank(rank_x_[static_cast<size_t>(global_index)]);
   y_index_.InsertAtRank(rank_y_[static_cast<size_t>(global_index + delay_)]);
-  PointState st;
-  st.p = o;
+  const bool has_room =
+      at_front ? head_ > 0 : head_ + count_ < coords_.size();
+  if (!has_room) Recentre(count_ + 1);
   if (at_front) {
-    points_.push_front(st);
+    --head_;
     --start_;
-    // Slots shifted by one.
-    for (size_t& j : to_recompute) ++j;
+    for (size_t& j : recompute_scratch_) ++j;  // slots shifted by one
   } else {
-    points_.push_back(st);
     ++end_;
   }
-  const size_t own_slot = at_front ? 0 : points_.size() - 1;
+  const size_t own_slot = at_front ? 0 : count_;
+  ++count_;
+  Coords()[own_slot] = o;
 
   // The new point's own state.
   {
-    PointState& self = points_[own_slot];
-    const KnnExtents e = ScanKnn(self.p, own_slot);
+    PointState& self = States()[own_slot];
+    const KnnExtents e = ScanKnn(o, own_slot);
     self.dx = e.dx;
     self.dy = e.dy;
-    self.nx = CountMarginalX(self.p.x, self.dx);
-    self.ny = CountMarginalY(self.p.y, self.dy);
+    self.nx = CountMarginalX(o.x, self.dx);
+    self.ny = CountMarginalY(o.y, self.dy);
     sum_psi_ += PsiClamped(psi_, self.nx) + PsiClamped(psi_, self.ny);
   }
 
   // Re-derive state for IR-hit points now that o is in the window.
-  for (size_t j : to_recompute) RecomputePoint(j);
+  for (size_t j : recompute_scratch_) RecomputePoint(j);
   ++stats_.points_added;
 }
 
 void IncrementalKsg::RemovePoint(int64_t global_index) {
   TYCOS_CHECK(global_index == start_ || global_index == end_);
   const bool at_front = global_index == start_;
-  const size_t slot = at_front ? 0 : points_.size() - 1;
-  const PointState removed = points_[slot];
+  const size_t slot = at_front ? 0 : count_ - 1;
+  const Point2 removed = Coords()[slot];
+  const PointState& state = States()[slot];
 
-  sum_psi_ -= PsiClamped(psi_, removed.nx) + PsiClamped(psi_, removed.ny);
+  sum_psi_ -= PsiClamped(psi_, state.nx) + PsiClamped(psi_, state.ny);
   x_index_.EraseAtRank(rank_x_[static_cast<size_t>(global_index)]);
   y_index_.EraseAtRank(rank_y_[static_cast<size_t>(global_index + delay_)]);
   if (at_front) {
-    points_.pop_front();
+    ++head_;
     ++start_;
   } else {
-    points_.pop_back();
     --end_;
   }
+  --count_;
 
   // Classify survivors against the removed point (Lemmas 4 and 6).
-  std::vector<size_t>& to_recompute = recompute_scratch_;
-  to_recompute.clear();
-  for (size_t j = 0; j < points_.size(); ++j) {
-    PointState& p = points_[j];
-    // Same exact-distance IR test as in AddPoint (see comment there).
-    const double d = std::max(p.dx, p.dy);
-    const bool in_ir = ChebyshevDistance(removed.p, p.p) <= d;
-    if (in_ir) {
-      to_recompute.push_back(j);
-      continue;
-    }
-    if (removed.p.x >= p.p.x - p.dx && removed.p.x <= p.p.x + p.dx) {
-      sum_psi_ -= PsiClamped(psi_, p.nx);
-      --p.nx;
-      sum_psi_ += PsiClamped(psi_, p.nx);
-      ++stats_.marginal_updates;
-    }
-    if (removed.p.y >= p.p.y - p.dy && removed.p.y <= p.p.y + p.dy) {
-      sum_psi_ -= PsiClamped(psi_, p.ny);
-      --p.ny;
-      sum_psi_ += PsiClamped(psi_, p.ny);
-      ++stats_.marginal_updates;
-    }
-  }
-  for (size_t j : to_recompute) RecomputePoint(j);
+  ClassifyEdit(removed, -1);
+  for (size_t j : recompute_scratch_) RecomputePoint(j);
   ++stats_.points_removed;
 }
 

@@ -20,13 +20,13 @@
 #define TYCOS_MI_INCREMENTAL_KSG_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "common/math.h"
 #include "core/time_series.h"
 #include "core/window.h"
+#include "knn/brute_knn.h"
 #include "knn/point.h"
 #include "knn/rank_index.h"
 
@@ -80,8 +80,9 @@ class IncrementalKsg {
   void InjectStateDriftForTest(double delta) { sum_psi_ += delta; }
 
  private:
+  // Per-point KSG state. Coordinates are stored apart (coords_), so the kNN
+  // scan and the IR test read one contiguous interleaved array.
   struct PointState {
-    Point2 p;
     double dx = 0.0;   // kNN extents of this point
     double dy = 0.0;
     int64_t nx = 0;    // marginal counts (self excluded, clamped >= 1)
@@ -102,8 +103,14 @@ class IncrementalKsg {
   void AddPoint(int64_t global_index);
   void RemovePoint(int64_t global_index);
 
-  // Recomputes extents + marginals of the point stored at deque slot `slot`
-  // against the current active set, adjusting sum_psi_.
+  // Classifies every active point against the edited point o (Lemmas 3-6):
+  // an IR hit is queued in recompute_scratch_ for a kNN recompute;
+  // otherwise each IMR hit moves that marginal count by `delta` (+1 when o
+  // is added, -1 when it is removed).
+  void ClassifyEdit(const Point2& o, int64_t delta);
+
+  // Recomputes extents + marginals of the point at `slot` against the
+  // current active set, adjusting sum_psi_.
   void RecomputePoint(size_t slot);
 
   // Marginal counts for a probe via the rank indexes (self excluded).
@@ -111,8 +118,18 @@ class IncrementalKsg {
   int64_t CountMarginalY(double y, double dy) const;
 
   // kNN extents of `probe` against all active points, excluding slot
-  // `exclude_slot` (pass points_.size() to exclude nothing).
-  KnnExtents ScanKnn(const Point2& probe, size_t exclude_slot) const;
+  // `exclude_slot` (pass count_ to exclude nothing).
+  KnnExtents ScanKnn(const Point2& probe, size_t exclude_slot);
+
+  // Active points in slot order: slot s (global X index start_ + s) lives
+  // at head_ + s of coords_ and states_.
+  Point2* Coords() { return coords_.data() + head_; }
+  PointState* States() { return states_.data() + head_; }
+
+  // Moves the active points to the middle of storage that has room for
+  // `points` of them plus head room on both sides (reallocating only when
+  // the storage is too small), so edits at either end stay amortized O(1).
+  void Recentre(size_t points);
 
   const SeriesPair& pair_;
   const int k_;
@@ -133,8 +150,10 @@ class IncrementalKsg {
   int64_t end_ = -1;
   int64_t delay_ = 0;
 
-  // points_[i] corresponds to global X index start_ + i.
-  std::deque<PointState> points_;
+  std::vector<Point2> coords_;
+  std::vector<PointState> states_;
+  size_t head_ = 0;
+  size_t count_ = 0;
   RankIndex x_index_;
   RankIndex y_index_;
   // Universe rank of every sample, precomputed once: window edits insert /
@@ -146,12 +165,10 @@ class IncrementalKsg {
   double sum_psi_ = 0.0;  // Σ ψ(nx_i) + ψ(ny_i) over active points
 
   // Reusable scratch, hoisted out of the per-slide hot path so steady-state
-  // add/remove/scan cycles allocate nothing. Each buffer is cleared (never
-  // shrunk) at its use site; knn_scratch_ is mutable because the const
-  // ScanKnn uses it as its candidate heap.
-  std::vector<size_t> recompute_scratch_;            // IR-hit slots
-  mutable std::vector<std::pair<double, size_t>> knn_scratch_;
-  std::vector<Point2> rebuild_scratch_;              // window points
+  // add/remove/scan cycles allocate nothing. Buffers only grow.
+  std::vector<size_t> recompute_scratch_;  // IR-hit slots
+  std::vector<double> edit_row_;           // distances to the edited point
+  BruteKnnScratch knn_scratch_;
 
   IncrementalKsgStats stats_;
   // Watermark of the last FlushObsCounters(): only field deltas are

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <utility>
 
 #include "audit/audit.h"
 #include "common/math.h"
@@ -12,6 +10,7 @@
 #include "knn/brute_knn.h"
 #include "knn/grid_index.h"
 #include "knn/kd_tree.h"
+#include "knn/knn_selector.h"
 #include "mi/entropy.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -66,13 +65,6 @@ int64_t CountClosed(const std::vector<double>& sorted, double center,
   return static_cast<int64_t>(hi) - static_cast<int64_t>(lo) - 1;  // - self
 }
 
-// The interleaved-double view of a Point2 array that the SIMD kernels scan.
-static_assert(sizeof(Point2) == 2 * sizeof(double),
-              "Point2 must be two packed doubles");
-const double* AsXy(const std::vector<Point2>& points) {
-  return reinterpret_cast<const double*>(points.data());
-}
-
 // Theiler-corrected KSG: every count excludes samples within
 // `theiler` steps of the query index. Brute-force O(m(m + T)) — this mode
 // is an accuracy feature for autocorrelated data, not a fast path.
@@ -88,18 +80,17 @@ double KsgMiTheiler(const std::vector<double>& x, const std::vector<double>& y,
                                       y[static_cast<size_t>(i)]};
   }
 
-  const double* xy = AsXy(points);
+  const double* xy = AsXy(points.data());
   DigammaTable psi;
   double marginal_sum = 0.0;
   double pool_sum = 0.0;
-  using Cand = std::pair<double, int64_t>;
-  std::vector<Cand> heap;
+  KnnSelector selector;
   std::vector<double> dist(static_cast<size_t>(m));
   for (int64_t i = 0; i < m; ++i) {
     const Point2& probe = points[static_cast<size_t>(i)];
-    // One vectorized distance pass over every point; the Theiler
-    // eligibility mask is applied in the scalar heap loop below, so the
-    // candidate order and (distance, index) tie-breaks are unchanged.
+    // One vectorized distance pass over every point, then the selector
+    // over the two eligible runs on either side of the Theiler exclusion
+    // zone, in index order, so the (distance, index) tie-break holds.
     simd::ChebyshevToProbe(xy, static_cast<size_t>(m), probe.x, probe.y,
                            dist.data());
 #if TYCOS_AUDIT_ENABLED
@@ -115,43 +106,28 @@ double KsgMiTheiler(const std::vector<double>& x, const std::vector<double>& y,
       }
     }
 #endif
-    heap.clear();
     const int64_t lo_n = std::max<int64_t>(0, i - theiler);
     const int64_t hi_start = std::min<int64_t>(m, i + theiler + 1);
     const int64_t pool = lo_n + (m - hi_start);
-    for (int64_t j = 0; j < m; ++j) {
-      if (std::llabs(i - j) <= theiler) continue;
-      const double d = dist[static_cast<size_t>(j)];
-      if (heap.size() < static_cast<size_t>(k)) {
-        heap.emplace_back(d, j);
-        std::push_heap(heap.begin(), heap.end());
-      } else if (Cand(d, j) < heap.front()) {
-        std::pop_heap(heap.begin(), heap.end());
-        heap.back() = Cand(d, j);
-        std::push_heap(heap.begin(), heap.end());
-      }
-    }
-    double dx = 0.0, dy = 0.0;
-    for (const Cand& c : heap) {
-      dx = std::max(dx, std::fabs(points[static_cast<size_t>(c.second)].x -
-                                  probe.x));
-      dy = std::max(dy, std::fabs(points[static_cast<size_t>(c.second)].y -
-                                  probe.y));
-    }
+    selector.Reset(static_cast<size_t>(k));
+    selector.OfferRow(dist.data(), 0, static_cast<size_t>(lo_n));
+    selector.OfferRow(dist.data(), static_cast<size_t>(hi_start),
+                      static_cast<size_t>(m));
+    const KnnExtents e = selector.Extents(points.data(), probe);
     // Marginal counts over the same eligible pool: one strided range count
     // per marginal on each side of the Theiler exclusion zone.
     const int64_t nx =
         static_cast<int64_t>(simd::CountWithinInterleaved(
-            xy, static_cast<size_t>(lo_n), probe.x, dx)) +
+            xy, static_cast<size_t>(lo_n), probe.x, e.dx)) +
         static_cast<int64_t>(simd::CountWithinInterleaved(
             xy + 2 * hi_start, static_cast<size_t>(m - hi_start), probe.x,
-            dx));
+            e.dx));
     const int64_t ny =
         static_cast<int64_t>(simd::CountWithinInterleaved(
-            xy + 1, static_cast<size_t>(lo_n), probe.y, dy)) +
+            xy + 1, static_cast<size_t>(lo_n), probe.y, e.dy)) +
         static_cast<int64_t>(simd::CountWithinInterleaved(
             xy + 1 + 2 * hi_start, static_cast<size_t>(m - hi_start), probe.y,
-            dy));
+            e.dy));
     marginal_sum += psi(static_cast<size_t>(std::max<int64_t>(nx, 1))) +
                     psi(static_cast<size_t>(std::max<int64_t>(ny, 1)));
     pool_sum += psi(static_cast<size_t>(pool));
@@ -294,8 +270,11 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
     static obs::Counter* queries = obs::GetCounter("knn.grid.queries");
     if (options.publish_obs) queries->Add(m);
   } else {
+    BruteKnnScratch scratch;
     for (int64_t i = 0; i < m; ++i) {
-      accumulate(i, BruteKnnExtents(points, static_cast<size_t>(i), k));
+      accumulate(i, BruteKnnScan(points.data(), points.size(),
+                                 points[static_cast<size_t>(i)], k,
+                                 static_cast<size_t>(i), &scratch));
     }
     static obs::Counter* queries = obs::GetCounter("knn.brute.queries");
     if (options.publish_obs) queries->Add(m);

@@ -128,6 +128,38 @@ TEST(IncrementalKsgTest, MarginalUpdatesDominateKnnRecomputes) {
   EXPECT_LT(st.knn_recomputes, st.points_added * 60);
 }
 
+// Grows and shrinks the window at both ends, far past the point store's
+// head room on either side, across delay-change rebuilds that reuse the
+// store. A rebuild sums ψ terms in index order exactly as the batch
+// estimator does, so its window matches KsgMi bit for bit; single-point
+// edits between rebuilds add and subtract ψ terms and track it to 1e-9.
+TEST(IncrementalKsgTest, GrowAndShrinkBothEndsAcrossRebuilds) {
+  const SeriesPair pair = RandomPair(1000, 8, 0.6);
+  IncrementalKsg inc(pair, 4);
+  int64_t rebuilds = 0;
+  for (int64_t delay : {0, 7, -5}) {
+    int64_t start = 400;
+    int64_t end = 460;
+    const Window first(start, end, delay);
+    ASSERT_EQ(inc.SetWindow(first), BatchMi(pair, first, 4));
+    ASSERT_EQ(inc.stats().full_rebuilds, ++rebuilds);
+    const auto step = [&]() {
+      const Window w(start, end, delay);
+      ASSERT_NEAR(inc.SetWindow(w), BatchMi(pair, w, 4), 1e-9)
+          << w.ToString();
+    };
+    // Growth into a full side reallocates the store, or re-centres it in
+    // place (leftward or rightward) when the other side has spare room.
+    for (int i = 0; i < 150; ++i, --start) step();  // grow the front
+    for (int i = 0; i < 150; ++i, ++end) step();    // grow the back
+    for (int i = 0; i < 200; ++i, ++start) step();  // shrink the front
+    for (int i = 0; i < 150; ++i, ++end) step();    // grow the back
+    for (int i = 0; i < 200; ++i, --end) step();    // shrink the back
+    for (int i = 0; i < 250; ++i, --start) step();  // grow the front
+    EXPECT_EQ(inc.stats().full_rebuilds, rebuilds);
+  }
+}
+
 struct WalkCase {
   int64_t n;
   int k;

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include "knn/brute_knn.h"
 #include "knn/grid_index.h"
 #include "knn/kd_tree.h"
+#include "knn/knn_selector.h"
 #include "knn/rank_index.h"
 
 namespace tycos {
@@ -57,6 +60,85 @@ TEST(CountWithinTest, ExcludesIndex) {
   EXPECT_EQ(CountWithinX(pts, 0.0, 0.5, 0), 2u);
   EXPECT_EQ(CountWithinX(pts, 0.0, 0.5, pts.size()), 3u);  // nothing excluded
   EXPECT_EQ(CountWithinY(pts, 0.0, 1.0, 0), 1u);
+}
+
+// Reference selection: every candidate but `exclude`, sorted by
+// (distance, index), first k.
+std::vector<std::pair<double, size_t>> ReferenceKnn(
+    const std::vector<Point2>& pts, const Point2& probe, size_t k,
+    size_t exclude) {
+  std::vector<std::pair<double, size_t>> all;
+  for (size_t j = 0; j < pts.size(); ++j) {
+    if (j != exclude) all.emplace_back(ChebyshevDistance(pts[j], probe), j);
+  }
+  std::sort(all.begin(), all.end());
+  all.resize(k);
+  return all;
+}
+
+void ExpectSelection(const KnnSelector& selector,
+                     const std::vector<std::pair<double, size_t>>& want) {
+  ASSERT_EQ(selector.size(), want.size());
+  for (size_t s = 0; s < want.size(); ++s) {
+    EXPECT_EQ(selector.distance(s), want[s].first) << "rank " << s;
+    EXPECT_EQ(selector.index(s), want[s].second) << "rank " << s;
+  }
+}
+
+// The shared top-k selector against the sort-and-take-k reference: the
+// brute kernel's index-order row scan (with the excluded slot at 0, inside
+// the warm-up fill, at the last index, and absent) and the any-order Offer
+// path the tree and grid walks use. Every m from k + 1 to 300 covers every
+// SIMD tail width; odd cases draw discrete coordinates so distances tie.
+TEST(KnnSelectorTest, MatchesSortedReference) {
+  Rng rng(2024);
+  for (size_t k : {size_t{1}, size_t{4}, size_t{8}}) {
+    for (size_t m = k + 1; m <= 300; ++m) {
+      const bool discrete = m % 2 == 1;
+      std::vector<Point2> pts(m);
+      for (Point2& p : pts) {
+        p.x = discrete ? static_cast<double>(rng.UniformInt(0, 3))
+                       : rng.Normal();
+        p.y = discrete ? static_cast<double>(rng.UniformInt(0, 3))
+                       : rng.Normal();
+      }
+      BruteKnnScratch scratch;
+      for (size_t exclude : {size_t{0}, k / 2, m - 1, m}) {
+        SCOPED_TRACE(testing::Message() << "k=" << k << " m=" << m
+                                        << " exclude=" << exclude);
+        const Point2 probe =
+            exclude < m ? pts[exclude] : Point2{rng.Normal(), rng.Normal()};
+        const auto want = ReferenceKnn(pts, probe, k, exclude);
+        KnnExtents want_e;
+        for (const auto& c : want) {
+          const Point2& p = pts[c.second];
+          want_e.dx = std::max(want_e.dx, std::fabs(p.x - probe.x));
+          want_e.dy = std::max(want_e.dy, std::fabs(p.y - probe.y));
+        }
+
+        const KnnExtents e = BruteKnnScan(pts.data(), m, probe,
+                                          static_cast<int>(k), exclude,
+                                          &scratch);
+        ExpectSelection(scratch.selector, want);
+        EXPECT_EQ(e.dx, want_e.dx);
+        EXPECT_EQ(e.dy, want_e.dy);
+
+        std::vector<size_t> order(m);
+        std::iota(order.begin(), order.end(), size_t{0});
+        for (size_t i = m - 1; i > 0; --i) {
+          std::swap(order[i], order[static_cast<size_t>(rng.UniformInt(
+                                  0, static_cast<int64_t>(i)))]);
+        }
+        KnnSelector shuffled;
+        shuffled.Reset(k);
+        for (size_t j : order) {
+          if (j == exclude) continue;
+          shuffled.Offer(ChebyshevDistance(pts[j], probe), j);
+        }
+        ExpectSelection(shuffled, want);
+      }
+    }
+  }
 }
 
 struct KnnCase {

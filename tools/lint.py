@@ -33,6 +33,16 @@ Checks (all on by default; each has a flag to run it alone):
                    may appear only in src/common/simd.h and simd.cc. Every
                    other file calls the portable tycos::simd wrappers, so
                    the scalar build and future ISAs stay a one-file change.
+                   Also: no function in a namespace avx2 block may end by
+                   calling a non-AVX2 function (anything but an intrinsic or
+                   a function of that block). GCC compiles such a call as a
+                   sibling jmp that skips the kernel's vzeroupper, and the
+                   caller's legacy-SSE code then runs with dirty upper YMM
+                   state (about 3x slower). Finish tails inline.
+  --simd-selftest  Verifies the avx2 tail-call rule of --simd-hygiene:
+                   plants kernels that end in a call to a scalar twin and
+                   to an sse42:: kernel, asserts both are flagged, and
+                   asserts clean kernels pass.
   --jobs-io        Durable-job I/O discipline: raw file I/O in src/jobs/
                    AND src/service/ is confined to checkpoint.cc (the one
                    audited code path — the in-process service must not grow
@@ -320,19 +330,174 @@ SIMD_TOKEN = re.compile(
 
 def check_simd_hygiene(errors):
     """Raw x86 intrinsics are confined to src/common/simd.{h,cc}; everything
-    else must go through the portable tycos::simd wrappers."""
+    else must go through the portable tycos::simd wrappers. AVX2 kernels
+    must not end in a call to a non-AVX2 function (check_avx2_tails)."""
     for f in source_files():
         relf = rel(f)
-        if relf in SIMD_ALLOWED:
-            continue
         code = strip_comments_and_strings(f.read_text(encoding="utf-8"))
         for lineno, line in enumerate(code.splitlines(), 1):
-            if SIMD_TOKEN.search(line):
+            if relf not in SIMD_ALLOWED and SIMD_TOKEN.search(line):
                 errors.append(
                     f"{relf}:{lineno}: raw x86 intrinsic outside "
                     f"src/common/simd.{{h,cc}} — add a portable wrapper to "
                     f"tycos::simd (with a scalar twin and a simd_test case) "
                     f"and call that instead")
+        check_avx2_tails(errors, relf, code)
+
+
+AVX2_NAMESPACE = re.compile(r"\bnamespace\s+avx2\s*\{")
+CALL = re.compile(r"([A-Za-z_][\w:]*)\s*\(")
+NOT_CALLS = {"if", "for", "while", "switch", "return", "sizeof", "alignof",
+             "decltype"}
+
+
+def matching_brace(code, open_at):
+    depth = 0
+    for i in range(open_at, len(code)):
+        if code[i] == "{":
+            depth += 1
+        elif code[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(code) - 1
+
+
+def avx2_functions(code):
+    """(name, open, close) brace offsets of every function defined in a
+    namespace avx2 block; nested namespace blocks are walked through."""
+    functions = []
+    for m in AVX2_NAMESPACE.finditer(code):
+        end = matching_brace(code, m.end() - 1)
+        boundary = m.end()
+        i = m.end()
+        while i < end:
+            c = code[i]
+            if c == ";" or c == "}":
+                boundary = i + 1
+            elif c == "{":
+                header = code[boundary:i]
+                if re.search(r"\bnamespace\b", header):
+                    boundary = i + 1
+                else:
+                    close = matching_brace(code, i)
+                    name = CALL.search(header)
+                    if name:
+                        functions.append((name.group(1), i, close))
+                    boundary = i = close + 1
+                    continue
+            i += 1
+    return functions
+
+
+def tail_statement(code, open_at, close_at):
+    """The statement in tail position of the block code[open_at..close_at],
+    or None when the block ends in a loop (nothing after it is a tail)."""
+    inner = code[open_at + 1:close_at].rstrip()
+    if not inner:
+        return None
+    if inner.endswith("}"):
+        block_close = open_at + len(inner)
+        depth = 0
+        for j in range(block_close, open_at, -1):
+            depth += {"}": 1, "{": -1}.get(code[j], 0)
+            if depth == 0:
+                break
+        header_start = max(code.rfind(";", open_at, j),
+                           code.rfind("}", open_at, j)) + 1
+        if re.match(r"\s*(?:if|else)\b", code[header_start:j]):
+            return tail_statement(code, j, block_close)
+        return None
+    start = max(inner.rfind(";", 0, len(inner) - 1), inner.rfind("{"),
+                inner.rfind("}")) + 1
+    statement = inner[start:]
+    if statement.count(")") > statement.count("("):
+        return None  # the body of a brace-less for loop
+    return statement
+
+
+def check_avx2_tails(errors, relf, code):
+    functions = avx2_functions(code)
+    avx2_names = {name for name, _, _ in functions}
+    for name, open_at, close_at in functions:
+        statement = tail_statement(code, open_at, close_at)
+        if statement is None:
+            continue
+        for call in CALL.findall(statement):
+            base = call.split("::")[-1]
+            if (call in NOT_CALLS or base.startswith(("_mm", "__builtin"))
+                    or call in avx2_names):
+                continue
+            lineno = code.count("\n", 0, close_at) + 1
+            errors.append(
+                f"{relf}:{lineno}: avx2::{name} ends by calling {call}() — "
+                f"GCC emits that as a sibling jmp that skips vzeroupper, so "
+                f"legacy-SSE callers run with dirty upper YMM state; finish "
+                f"the tail inline")
+
+
+def simd_selftest():
+    """Proves the avx2 tail-call rule fires: kernels ending in a call to a
+    scalar twin or an sse42:: kernel must be flagged; clean kernels pass."""
+    planted = """
+namespace avx2 {
+namespace {
+inline __m256d Abs256(__m256d v) { return v; }
+}  // namespace
+void Scan(const double* v, size_t n, double* out) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(out + i, Abs256(_mm256_loadu_pd(v + i)));
+  }
+  if (i < n) ScanScalar(v + i, n - i, out + i);
+}
+size_t Count(const double* v, size_t n) {
+  if (n < 4) {
+    return sse42::Count(v, n);
+  } else {
+    return sse42::Count(v, n);
+  }
+}
+}  // namespace avx2
+"""
+    errs = []
+    check_avx2_tails(errs, "src/common/simd_selftest.cc",
+                     strip_comments_and_strings(planted))
+    if len(errs) < 2:
+        print("lint: simd tail-call self-test FAILED — planted trailing "
+              "calls not flagged:\n  " + "\n  ".join(errs))
+        return 1
+    clean = """
+namespace avx2 {
+namespace {
+inline __m256d Abs256(__m256d v) { return v; }
+}  // namespace
+void Scan(const double* v, size_t n, double* out) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(out + i, Abs256(_mm256_loadu_pd(v + i)));
+  }
+  for (; i < n; ++i) out[i] = std::fabs(v[i]);
+}
+__m256d Twice(__m256d v) { return Abs256(_mm256_add_pd(v, v)); }
+size_t Count(const double* v, size_t n) {
+  size_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    count += std::fabs(v[i]) < 1.0 ? 1 : 0;
+  }
+  return count;
+}
+}  // namespace avx2
+"""
+    clean_errs = []
+    check_avx2_tails(clean_errs, "src/common/simd_selftest.cc",
+                     strip_comments_and_strings(clean))
+    if clean_errs:
+        print("lint: simd tail-call self-test FAILED — clean kernels "
+              "flagged:\n  " + "\n  ".join(clean_errs))
+        return 1
+    print("lint: simd tail-call self-test OK")
+    return 0
 
 
 SURVIVORS_ALLOWED = {"src/jobs/checkpoint.h", "src/jobs/checkpoint.cc"}
@@ -493,11 +658,14 @@ def main():
     parser.add_argument("--jobs-io", action="store_true")
     parser.add_argument("--mutex-annotations", action="store_true")
     parser.add_argument("--mutex-selftest", action="store_true")
+    parser.add_argument("--simd-selftest", action="store_true")
     parser.add_argument("--tidy", action="store_true")
     args = parser.parse_args()
 
     if args.mutex_selftest:
         return mutex_selftest()
+    if args.simd_selftest:
+        return simd_selftest()
 
     selected = {k for k, v in vars(args).items() if v}
     run_all = not selected
