@@ -12,7 +12,10 @@
 //   * resume — a run interrupted at a pair boundary (voluntary pause) and
 //     resumed must produce entries bit-identical to an uninterrupted run;
 //   * end-to-end wall time, per-stage timings, and the speedup over the
-//     extrapolated full sweep.
+//     extrapolated full sweep;
+//   * stage-1 evidence — the stage-1 pass ratio and both stage costs at
+//     T = 0.5 ... 0.9, on this dataset and on a 320-channel one shaped
+//     like perfbench's discover workload, at the host's thread count.
 //
 // Any assertion failure exits nonzero, so CI's bench-smoke run is a
 // correctness gate, not just a timing. Results are written to
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/thread_pool.h"
 #include "datagen/clusters.h"
 #include "jobs/durable_pairwise.h"
 #include "obs/json.h"
@@ -276,6 +280,77 @@ int main(int argc, char** argv) {
   std::remove(stepped.durable.checkpoint_path.c_str());
   std::remove((stepped.durable.checkpoint_path + ".survivors").c_str());
 
+  // Metrics sidecar: the obs-registry snapshot (prefilter.* counters,
+  // jobs.pairs_pruned, ...) accumulated over every run above. Written
+  // before the threshold sweep, so its counters cover the determinism,
+  // end-to-end and resume runs only.
+  std::string metrics_path = out_path;
+  const std::string suffix = ".json";
+  if (metrics_path.size() >= suffix.size() &&
+      metrics_path.compare(metrics_path.size() - suffix.size(), suffix.size(),
+                           suffix) == 0) {
+    metrics_path.resize(metrics_path.size() - suffix.size());
+  }
+  metrics_path += ".metrics.json";
+  const Status metrics_ok = obs::WriteJson(metrics_path, obs::Snapshot());
+  if (metrics_ok.ok()) {
+    std::printf("wrote %s\n", metrics_path.c_str());
+  } else {
+    std::fprintf(stderr, "metrics sidecar failed: %s\n",
+                 metrics_ok.message().c_str());
+  }
+
+  // --- Stage-1 evidence: pass ratio and stage costs across T -------------
+  struct SweepRow {
+    int channels;
+    double threshold;
+    PrefilterStats stats;
+  };
+  std::vector<SweepRow> sweep;
+  {
+    std::vector<const std::vector<TimeSeries>*> sets;
+    datagen::ClusteredDataset discover_shape;
+    if (!smoke) {
+      datagen::ClusterGenOptions dgen;
+      dgen.num_channels = 320;
+      dgen.num_clusters = 16;
+      dgen.channels_per_cluster = 4;
+      dgen.length = 1024;
+      dgen.max_delay = 6;
+      dgen.member_noise = 0.4;
+      dgen.leader_ar = 0.7;
+      dgen.seed = 3;
+      auto made = datagen::MakeCorrelatedClusters(dgen);
+      if (!made.ok()) return Fail("320-channel datagen failed");
+      discover_shape = std::move(made.value());
+      sets.push_back(&discover_shape.channels);
+    }
+    sets.push_back(&ds.channels);
+    std::printf("\nstage-1 sweep at %d threads:\n",
+                ThreadPool::ResolveThreadCount(0));
+    std::printf("%9s %6s %12s %10s %10s %10s\n", "channels", "T",
+                "s1_pass", "stage1_s", "stage2_s", "survivors");
+    tycos::bench::PrintRule(62);
+    for (const std::vector<TimeSeries>* channels : sets) {
+      for (const double t : {0.5, 0.6, 0.7, 0.8, 0.9}) {
+        PrefilterParams p = resolved;
+        p.num_threads = 0;  // hardware
+        auto out = RunPrefilter(*channels, p, t, RunContext());
+        if (!out.ok() || out.value().stop.has_value()) {
+          return Fail("sweep prefilter run did not complete");
+        }
+        const PrefilterStats& st = out.value().stats;
+        sweep.push_back({static_cast<int>(channels->size()), t, st});
+        std::printf("%9zu %6.2f %12.4f %10.3f %10.3f %10lld\n",
+                    channels->size(), t,
+                    static_cast<double>(st.stage1_candidates) /
+                        static_cast<double>(st.pairs_total),
+                    st.stage1_seconds, st.stage2_seconds,
+                    static_cast<long long>(st.stage2_survivors));
+      }
+    }
+  }
+
   // --- JSON ---------------------------------------------------------------
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -334,6 +409,21 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"resume_identical\": %s\n",
                resume_identical ? "true" : "false");
   std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"threshold_sweep\": [\n");
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    const SweepRow& r = sweep[i];
+    std::fprintf(f,
+                 "    {\"channels\": %d, \"threshold\": %.2f, "
+                 "\"stage1_pass_ratio\": %.4f, \"stage1_s\": %.3f, "
+                 "\"stage2_s\": %.3f, \"survivors\": %lld}%s\n",
+                 r.channels, r.threshold,
+                 static_cast<double>(r.stats.stage1_candidates) /
+                     static_cast<double>(r.stats.pairs_total),
+                 r.stats.stage1_seconds, r.stats.stage2_seconds,
+                 static_cast<long long>(r.stats.stage2_survivors),
+                 i + 1 < sweep.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"prefilter_runs\": [\n");
   for (size_t i = 0; i < prows.size(); ++i) {
     const PrefilterRow& r = prows[i];
@@ -347,23 +437,5 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());
-
-  // Metrics sidecar: the obs-registry snapshot (prefilter.* counters,
-  // jobs.pairs_pruned, ...) accumulated over every run above.
-  std::string metrics_path = out_path;
-  const std::string suffix = ".json";
-  if (metrics_path.size() >= suffix.size() &&
-      metrics_path.compare(metrics_path.size() - suffix.size(), suffix.size(),
-                           suffix) == 0) {
-    metrics_path.resize(metrics_path.size() - suffix.size());
-  }
-  metrics_path += ".metrics.json";
-  const Status metrics_ok = obs::WriteJson(metrics_path, obs::Snapshot());
-  if (metrics_ok.ok()) {
-    std::printf("wrote %s\n", metrics_path.c_str());
-  } else {
-    std::fprintf(stderr, "metrics sidecar failed: %s\n",
-                 metrics_ok.message().c_str());
-  }
   return 0;
 }

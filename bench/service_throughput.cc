@@ -1,5 +1,5 @@
 // Service-layer throughput driver: four tenants hammer a Server through
-// its submit / ingest / poll API and the run checks, not just records, the
+// its submit / ingest / wait API and the run checks, not just records, the
 // service's contracts:
 //
 //   - repeated identical queries hit the result cache (hit rate > 0),
@@ -62,18 +62,13 @@ int64_t Counter(const char* name) {
   return obs::Snapshot().CounterValue(name);
 }
 
-// Spins (politely) until the request is terminal — the poll loop a remote
-// client would run.
-RequestStatus PollUntilDone(Server& server, int64_t id) {
-  for (;;) {
-    const Result<RequestStatus> st = server.Poll(id);
-    Require(st.ok(), "Poll on an admitted id");
-    const RequestState s = st.value().state;
-    if (s != RequestState::kQueued && s != RequestState::kRunning) {
-      return st.value();
-    }
-    std::this_thread::yield();
-  }
+// Blocks until the request is terminal. Server::Wait sleeps on the
+// server's condition variable, so the client threads burn no CPU inside
+// the measurement (a yield-spinning Poll loop shows up as sys time).
+RequestStatus WaitUntilDone(Server& server, int64_t id) {
+  const Result<RequestStatus> st = server.Wait(id);
+  Require(st.ok(), "Wait on an admitted id");
+  return st.value();
 }
 
 bool SameWindows(const WindowSet& a, const WindowSet& b) {
@@ -125,7 +120,7 @@ int main(int argc, char** argv) {
   std::vector<datagen::SyntheticDataset> data;
   for (int t = 0; t < kTenants; ++t) data.push_back(TenantData(t, seg_len));
 
-  // ---- Phase 1: concurrent submit / ingest / poll + cache behavior. ----
+  // ---- Phase 1: concurrent submit / ingest / wait + cache behavior. ----
   // Each tenant owns a channel pair, appends a fresh chunk every second
   // round (bumping the epoch), and repeats an identical query in between —
   // so every data version is searched once cold and once from the cache.
@@ -172,7 +167,7 @@ int main(int argc, char** argv) {
           }
           const auto id = server.Submit(QueryFor(t));
           Require(id.ok(), "Submit under no load");
-          const RequestStatus st = PollUntilDone(server, id.value());
+          const RequestStatus st = WaitUntilDone(server, id.value());
           Require(st.state == RequestState::kDone, "request completes");
           Require(!st.outcome.partial, "unloaded request is not partial");
           completed.fetch_add(1);
@@ -235,11 +230,11 @@ int main(int argc, char** argv) {
     for (int t = 0; t < kTenants; ++t) {
       const auto first = warm_server.Submit(QueryFor(t));
       Require(first.ok(), "warm submit");
-      const RequestStatus cold_st = PollUntilDone(
+      const RequestStatus cold_st = WaitUntilDone(
           cold_server, cold_server.Submit(QueryFor(t)).value());
-      const RequestStatus warm_cold = PollUntilDone(warm_server,
+      const RequestStatus warm_cold = WaitUntilDone(warm_server,
                                                     first.value());
-      const RequestStatus warm_hit = PollUntilDone(
+      const RequestStatus warm_hit = WaitUntilDone(
           warm_server, warm_server.Submit(QueryFor(t)).value());
       Require(!cold_st.from_cache, "cache-off server never hits");
       Require(warm_hit.from_cache, "repeat on warm server hits");
@@ -301,7 +296,7 @@ int main(int argc, char** argv) {
     for (std::thread& th : flood) th.join();
     flood_admitted = static_cast<int64_t>(flood_ids.size());
     for (const int64_t id : flood_ids) {
-      const RequestStatus st = PollUntilDone(tight_server, id);
+      const RequestStatus st = WaitUntilDone(tight_server, id);
       flood_all_completed =
           flood_all_completed && st.state == RequestState::kDone;
     }

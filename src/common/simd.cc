@@ -569,5 +569,186 @@ MinMaxFiniteResult MinMaxFinite(const double* v, size_t n) {
 
 #endif  // TYCOS_SIMD_LEVEL
 
+// --- Sliding dot products --------------------------------------------------
+//
+// The scalar twin, the per-level bodies and the dispatch of SlidingDots, in
+// one place.
+
+void SlidingDotsScalar(const double* q, size_t n, const double* t,
+                       size_t band, double* out) {
+  for (size_t i = 0; i < band; ++i) {
+    double dot = 0.0;
+    for (size_t j = 0; j < n; ++j) dot += q[j] * t[i + j];
+    out[i] = dot;
+  }
+}
+
+#if TYCOS_SIMD_LEVEL >= 1
+
+namespace {
+
+// Most vector registers SlidingDots accumulates at once: enough
+// independent add chains to hide the add latency, few enough to stay in
+// registers. Longer bands run as near-equal groups of at most this many.
+constexpr size_t kDotGroup = 8;
+
+// Size of the next SlidingDots group when `vectors` remain.
+size_t NextDotGroup(size_t vectors) {
+  const size_t groups = (vectors + kDotGroup - 1) / kDotGroup;
+  return (vectors + groups - 1) / groups;
+}
+
+}  // namespace
+
+namespace sse42 {
+
+namespace {
+
+// Alignments [0, 2V) of SlidingDots: lane l of accumulator v is alignment
+// 2v + l, summed over j in the scalar order.
+template <size_t V>
+void SlidingDotsBlock(const double* q, size_t n, const double* t,
+                      double* out) {
+  __m128d acc[V];
+#pragma GCC unroll 8
+  for (size_t v = 0; v < V; ++v) acc[v] = _mm_setzero_pd();
+  for (size_t j = 0; j < n; ++j) {
+    const __m128d qj = _mm_set1_pd(q[j]);
+#pragma GCC unroll 8
+    for (size_t v = 0; v < V; ++v) {
+      acc[v] =
+          _mm_add_pd(acc[v], _mm_mul_pd(qj, _mm_loadu_pd(t + j + 2 * v)));
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t v = 0; v < V; ++v) _mm_storeu_pd(out + 2 * v, acc[v]);
+}
+
+using SlidingDotsBlockFn = void (*)(const double*, size_t, const double*,
+                                    double*);
+constexpr SlidingDotsBlockFn kSlidingDotsBlocks[kDotGroup] = {
+    SlidingDotsBlock<1>, SlidingDotsBlock<2>, SlidingDotsBlock<3>,
+    SlidingDotsBlock<4>, SlidingDotsBlock<5>, SlidingDotsBlock<6>,
+    SlidingDotsBlock<7>, SlidingDotsBlock<8>};
+
+}  // namespace
+
+void SlidingDots(const double* q, size_t n, const double* t, size_t band,
+                 double* out) {
+  size_t vectors = band / 2;
+  size_t i = 0;
+  while (vectors > 0) {
+    const size_t take = NextDotGroup(vectors);
+    kSlidingDotsBlocks[take - 1](q, n, t + i, out + i);
+    vectors -= take;
+    i += 2 * take;
+  }
+  if (i < band) {  // odd band: the last alignment
+    double dot = 0.0;
+    for (size_t j = 0; j < n; ++j) dot += q[j] * t[i + j];
+    out[i] = dot;
+  }
+}
+
+}  // namespace sse42
+
+#endif  // TYCOS_SIMD_LEVEL >= 1
+
+#if TYCOS_SIMD_LEVEL >= 2
+
+namespace avx2 {
+
+namespace {
+
+// One j step of SlidingDotsBlock: acc[v] += q[j] · t[j + 4v .. j + 4v + 3].
+// With kMaskLast the last vector loads under `last` (masked lanes read 0).
+template <size_t V, bool kMaskLast>
+inline void SlidingDotsStep(__m256d* acc, __m256d qj, const double* t,
+                            __m256i last) {
+#pragma GCC unroll 8
+  for (size_t v = 0; v < V; ++v) {
+    __m256d tv;
+    if constexpr (kMaskLast) {
+      tv = v + 1 < V ? _mm256_loadu_pd(t + 4 * v)
+                     : _mm256_maskload_pd(t + 4 * v, last);
+    } else {
+      tv = _mm256_loadu_pd(t + 4 * v);
+    }
+    acc[v] = _mm256_add_pd(acc[v], _mm256_mul_pd(qj, tv));
+  }
+}
+
+// Alignments [0, 4(V − 1) + last_lanes) of SlidingDots: lane l of
+// accumulator v is alignment 4v + l, summed over j in the scalar order.
+// Lanes past the band ride along and are never stored, so a band's
+// remainder runs in the same pass as its full vectors instead of as a
+// latency-bound scalar tail. Their loads stay inside t[0, band + n − 1)
+// until the last three j steps, which mask them. The mask is built here
+// rather than passed in: a function with a 256-bit argument gets no
+// vzeroupper at its exit.
+template <size_t V>
+void SlidingDotsBlock(const double* q, size_t n, const double* t,
+                      size_t last_lanes, double* out) {
+  const __m256i last = _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<int64_t>(last_lanes)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+  __m256d acc[V];
+#pragma GCC unroll 8
+  for (size_t v = 0; v < V; ++v) acc[v] = _mm256_setzero_pd();
+  const size_t unmasked = n > 3 ? n - 3 : 0;
+  size_t j = 0;
+  for (; j < unmasked; ++j) {
+    SlidingDotsStep<V, false>(acc, _mm256_set1_pd(q[j]), t + j, last);
+  }
+  for (; j < n; ++j) {
+    SlidingDotsStep<V, true>(acc, _mm256_set1_pd(q[j]), t + j, last);
+  }
+#pragma GCC unroll 8
+  for (size_t v = 0; v + 1 < V; ++v) _mm256_storeu_pd(out + 4 * v, acc[v]);
+  _mm256_maskstore_pd(out + 4 * (V - 1), last, acc[V - 1]);
+}
+
+using SlidingDotsBlockFn = void (*)(const double*, size_t, const double*,
+                                    size_t, double*);
+constexpr SlidingDotsBlockFn kSlidingDotsBlocks[kDotGroup] = {
+    SlidingDotsBlock<1>, SlidingDotsBlock<2>, SlidingDotsBlock<3>,
+    SlidingDotsBlock<4>, SlidingDotsBlock<5>, SlidingDotsBlock<6>,
+    SlidingDotsBlock<7>, SlidingDotsBlock<8>};
+
+}  // namespace
+
+void SlidingDots(const double* q, size_t n, const double* t, size_t band,
+                 double* out) {
+  size_t vectors = (band + 3) / 4;  // the last one may be partial
+  size_t i = 0;
+  while (vectors > 0) {
+    const size_t take = NextDotGroup(vectors);
+    vectors -= take;
+    const size_t last_lanes = vectors > 0 ? 4 : band - i - 4 * (take - 1);
+    kSlidingDotsBlocks[take - 1](q, n, t + i, last_lanes, out + i);
+    i += 4 * take;
+  }
+}
+
+}  // namespace avx2
+
+#endif  // TYCOS_SIMD_LEVEL >= 2
+
+#if TYCOS_SIMD_LEVEL >= 1
+
+void SlidingDots(const double* q, size_t n, const double* t, size_t band,
+                 double* out) {
+  active::SlidingDots(q, n, t, band, out);
+}
+
+#else  // scalar build
+
+void SlidingDots(const double* q, size_t n, const double* t, size_t band,
+                 double* out) {
+  SlidingDotsScalar(q, n, t, band, out);
+}
+
+#endif  // TYCOS_SIMD_LEVEL
+
 }  // namespace simd
 }  // namespace tycos

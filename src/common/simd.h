@@ -1,5 +1,6 @@
 // Portable SIMD kernels for the KSG hot loops — L∞ distance scans,
-// marginal range counts, bound searches, and min/max reductions.
+// marginal range counts, bound searches, and min/max reductions — plus the
+// sliding dot products of the all-pairs prefilter's stage 2.
 //
 // The instruction set is selected at BUILD time (no runtime dispatch): the
 // TYCOS_SIMD_LEVEL macro is 2 (AVX2), 1 (SSE4.2), or 0 (scalar), chosen by
@@ -16,7 +17,10 @@
 // and comparisons use ordered predicates so NaN never counts. Min/max
 // REDUCTIONS are value-exact but may return the opposite zero sign when
 // both +0.0 and -0.0 appear (reduction order differs); no caller
-// distinguishes zero signs. No kernel reassociates floating-point sums.
+// distinguishes zero signs. No kernel reassociates floating-point sums:
+// SlidingDots gives each vector lane one output and accumulates it in the
+// scalar loop's order, with separate multiply and add (simd.cc is never
+// built with -mfma, so nothing contracts them), hence bit-exact too.
 //
 // All intrinsics live in src/common/simd.cc — tools/lint.py --simd-hygiene
 // rejects them anywhere else, so the baseline-ISA guarantee of the rest of
@@ -109,6 +113,16 @@ struct MinMaxFiniteResult {
 MinMaxFiniteResult MinMaxFinite(const double* v, size_t n);
 MinMaxFiniteResult MinMaxFiniteScalar(const double* v, size_t n);
 
+// --- Sliding dot products ---------------------------------------------------
+
+// out[i] = Σ_{j<n} q[j] · t[i + j] for i in [0, band), each sum accumulated
+// from 0.0 in ascending j. `t` holds band + n − 1 values. The direct
+// (thin-band) distance profile of the prefilter's stage 2.
+void SlidingDots(const double* q, size_t n, const double* t, size_t band,
+                 double* out);
+void SlidingDotsScalar(const double* q, size_t n, const double* t,
+                       size_t band, double* out);
+
 // --- Per-level entry points (tests only) -----------------------------------
 //
 // The public kernels above always dispatch to the highest compiled-in
@@ -127,6 +141,8 @@ size_t LowerBound(const double* v, size_t n, double key);
 size_t UpperBound(const double* v, size_t n, double key);
 MinMaxXYResult MinMaxXY(const double* xy, size_t n);
 MinMaxFiniteResult MinMaxFinite(const double* v, size_t n);
+void SlidingDots(const double* q, size_t n, const double* t, size_t band,
+                 double* out);
 }  // namespace sse42
 #endif
 #if TYCOS_SIMD_LEVEL >= 2
@@ -141,6 +157,8 @@ size_t LowerBound(const double* v, size_t n, double key);
 size_t UpperBound(const double* v, size_t n, double key);
 MinMaxXYResult MinMaxXY(const double* xy, size_t n);
 MinMaxFiniteResult MinMaxFinite(const double* v, size_t n);
+void SlidingDots(const double* q, size_t n, const double* t, size_t band,
+                 double* out);
 }  // namespace avx2
 #endif
 

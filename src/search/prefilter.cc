@@ -4,10 +4,11 @@
 #include <cmath>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "audit/audit.h"
+#include "common/simd.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "fft/sliding_dot.h"
@@ -213,58 +214,35 @@ std::vector<double> PrincipalBasis(const std::vector<double>& gram, int k,
   return basis;
 }
 
-// Band width (alignment count) below which the stage-2 profile is
-// evaluated directly instead of through the FFT. MASS costs
+// Band width (alignment count) from which the stage-2 profile is
+// evaluated through the FFT instead of directly. MASS costs
 // O((m + band) log(m + band)) regardless of band width; a direct scan is
 // O(m · band). For the typical td_max of a delay search (tens of samples)
-// the band is far too thin to amortize an FFT.
+// the band is far too thin to amortize an FFT. The choice depends only on
+// sizes, never on thread count, so determinism holds.
 constexpr int64_t kDirectBandLimit = 64;
 
-// z-normalized Euclidean distance profile of `query` against every
-// length-|query| window of `slice` — the same quantity MassDistanceProfile
-// computes (constant windows score sqrt(2m), i.e. r = 0), chosen by band
-// width: direct evaluation for thin bands, FFT/MASS for wide ones. The two
-// paths agree up to rounding, which kPearsonGuard absorbs; the choice
-// depends only on sizes, never on thread count, so determinism holds.
-std::vector<double> BandDistanceProfile(const std::vector<double>& query,
-                                        const std::vector<double>& slice) {
-  const size_t m = query.size();
-  const size_t band = slice.size() - m + 1;
-  if (band >= static_cast<size_t>(kDirectBandLimit)) {
-    return MassDistanceProfile(query, slice);
+// Mean and standard deviation of one length-n window, summed in window
+// order exactly as the direct stage-2 scan always has: every query and
+// every aligned window reads its moments from a table of these, so the
+// Pearson values keep their bits.
+struct WindowMoments {
+  double mean = 0.0;
+  double std = 0.0;
+};
+
+WindowMoments MomentsAt(const double* w, int64_t n) {
+  const double dn = static_cast<double>(n);
+  double sum = 0.0;
+  double sq = 0.0;
+  for (int64_t j = 0; j < n; ++j) {
+    sum += w[j];
+    sq += w[j] * w[j];
   }
-  const double dm = static_cast<double>(m);
-  double q_sum = 0.0;
-  double q_sq = 0.0;
-  for (const double v : query) {
-    q_sum += v;
-    q_sq += v * v;
-  }
-  const double q_mean = q_sum / dm;
-  const double q_var = std::max(0.0, q_sq / dm - q_mean * q_mean);
-  const double q_std = std::sqrt(q_var);
-  std::vector<double> out(band);
-  for (size_t i = 0; i < band; ++i) {
-    double w_sum = 0.0;
-    double w_sq = 0.0;
-    double dot = 0.0;
-    for (size_t j = 0; j < m; ++j) {
-      const double w = slice[i + j];
-      w_sum += w;
-      w_sq += w * w;
-      dot += query[j] * w;
-    }
-    const double w_mean = w_sum / dm;
-    const double w_var = std::max(0.0, w_sq / dm - w_mean * w_mean);
-    const double w_std = std::sqrt(w_var);
-    if (q_std < 1e-12 || w_std < 1e-12) {
-      out[i] = std::sqrt(2.0 * dm);
-      continue;
-    }
-    const double r = (dot - dm * q_mean * w_mean) / (dm * q_std * w_std);
-    out[i] = std::sqrt(std::max(0.0, 2.0 * dm * (1.0 - r)));
-  }
-  return out;
+  WindowMoments m;
+  m.mean = sum / dn;
+  m.std = std::sqrt(std::max(0.0, sq / dn - m.mean * m.mean));
+  return m;
 }
 
 }  // namespace
@@ -485,20 +463,26 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
   for (int d = 0; d < probe_dims; ++d) combos *= 3;
 
   // --- Stage 1c: probe every channel's band starts against the hash -----
-  // Each channel collects its candidate pairs locally; the local sets are
-  // merged and canonicalized (sort + unique) after the join, so the
-  // candidate list never depends on thread interleaving.
+  // Each channel marks the partners it finds in a `seen` mask, skips the
+  // sketch check for a partner already marked, and stops probing once
+  // every other channel is marked: insertion was idempotent, so the
+  // candidate set is the same. The per-channel lists are merged and
+  // canonicalized (sort + unique) after the join, so the candidate list
+  // never depends on thread interleaving.
   std::vector<std::vector<uint64_t>> found_per_channel(
       static_cast<size_t>(num_channels));
   fs = pool.ParallelFor(
       num_channels, ctx, [&](int64_t c) -> std::optional<StopReason> {
         const size_t ci = static_cast<size_t>(c);
-        std::unordered_set<uint64_t> local;
+        std::vector<char> seen(static_cast<size_t>(num_channels), 0);
+        seen[ci] = 1;
+        int unseen = num_channels - 1;
         std::vector<double> sketch(ks);
         std::vector<double> pr(kb);
         std::vector<int64_t> base_cells(kb);
         std::vector<int64_t> cells(kb);
-        for (const int64_t s : probe_starts) {
+        for (size_t p = 0; p < probe_starts.size() && unseen > 0; ++p) {
+          const int64_t s = probe_starts[p];
           SketchAt(prefixes[ci], s, n_win, seg, sketch.data());
           for (size_t d = 0; d < kb; ++d) {
             double acc = 0.0;
@@ -525,13 +509,12 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
               const auto it = buckets.find(CellHash(pos, cells.data(), k_b));
               if (it == buckets.end()) continue;
               for (const int32_t id : it->second) {
-                const int c2 = static_cast<int>(id / num_grid);
-                if (c2 == static_cast<int>(c)) continue;
+                const size_t c2 = static_cast<size_t>(id / num_grid);
+                if (seen[c2] != 0) continue;
                 const int64_t other_start = (id % num_grid) * hop;
                 const int64_t ds = s - other_start;
                 if (ds > td || ds < -td) continue;
-                const double* sk2 = grid_sketches[static_cast<size_t>(c2)]
-                                        .data() +
+                const double* sk2 = grid_sketches[c2].data() +
                                     static_cast<size_t>(id % num_grid) * ks;
                 double d2 = 0.0;
                 for (size_t j = 0; j < ks; ++j) {
@@ -539,16 +522,19 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
                   d2 += diff * diff;
                 }
                 if (d2 > eps_sq) continue;
-                const int lo = std::min(static_cast<int>(c), c2);
-                const int hi = std::max(static_cast<int>(c), c2);
-                local.insert(static_cast<uint64_t>(lo) *
-                                 static_cast<uint64_t>(num_channels) +
-                             static_cast<uint64_t>(hi));
+                seen[c2] = 1;
+                --unseen;
               }
             }
           }
         }
-        found_per_channel[ci].assign(local.begin(), local.end());
+        std::vector<uint64_t>& found = found_per_channel[ci];
+        for (size_t c2 = 0; c2 < seen.size(); ++c2) {
+          if (c2 == ci || seen[c2] == 0) continue;
+          const uint64_t lo = std::min(ci, c2);
+          const uint64_t hi = std::max(ci, c2);
+          found.push_back(lo * static_cast<uint64_t>(num_channels) + hi);
+        }
         return std::nullopt;
       });
   if (fs.stop.has_value()) {
@@ -573,12 +559,50 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
     return outcome;
   }
 
-  // --- Stage 2: exact MASS/Pearson prescreen over the candidates --------
+  // Stage-1 state is dead from here on: release it before stage 2
+  // allocates its tables, so they do not raise the run's peak RSS.
+  prefixes = {};
+  grid_sketches = {};
+  proj = {};
+  buckets = {};
+
+  // --- Stage 2: exact sliding Pearson prescreen over the candidates -----
   // For each candidate pair, the max |r| over (hop-grid start on either
-  // channel) × (every |delay| <= td) is evaluated from MASS distance
-  // profiles; the scan stops as soon as the threshold is crossed. Each
-  // pair's scan is a pure function, so slots merge deterministically.
+  // channel) × (every |delay| <= td) is evaluated from z-normalized
+  // distance profiles; the scan stops as soon as the threshold is crossed.
+  // Each pair's scan is a pure function, so slots merge deterministically.
   Stopwatch stage2_watch;
+
+  // Window moments of every channel at every probe start, computed once
+  // and shared by all the channel's pairs. Indexed by probe-start slot:
+  // each grid band [lo, hi] is a run of consecutive slots starting at
+  // band_slot[g] (probe_starts is the sorted union of the bands).
+  const size_t num_slots = probe_starts.size();
+  std::vector<size_t> band_slot(static_cast<size_t>(num_grid));
+  for (int64_t g = 0; g < num_grid; ++g) {
+    const int64_t lo = std::max<int64_t>(g * hop - td, 0);
+    band_slot[static_cast<size_t>(g)] = static_cast<size_t>(
+        std::lower_bound(probe_starts.begin(), probe_starts.end(), lo) -
+        probe_starts.begin());
+  }
+  std::vector<WindowMoments> moments(static_cast<size_t>(num_channels) *
+                                     num_slots);
+  fs = pool.ParallelFor(
+      num_channels, ctx, [&](int64_t c) -> std::optional<StopReason> {
+        const double* xs = channels[static_cast<size_t>(c)].values().data();
+        WindowMoments* out =
+            moments.data() + static_cast<size_t>(c) * num_slots;
+        for (size_t p = 0; p < num_slots; ++p) {
+          out[p] = MomentsAt(xs + probe_starts[p], n_win);
+        }
+        return std::nullopt;
+      });
+  if (fs.stop.has_value()) {
+    stats.stage2_seconds = stage2_watch.ElapsedSeconds();
+    outcome.stop = fs.stop;
+    return outcome;
+  }
+
   struct PairVerdict {
     double best = 0.0;
     bool pass = false;
@@ -586,6 +610,9 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
   std::vector<PairVerdict> verdicts(candidate_keys.size());
   const double accept = threshold - kPearsonGuard;
   const int64_t num_candidates = static_cast<int64_t>(candidate_keys.size());
+  const size_t m = static_cast<size_t>(n_win);
+  const double dm = static_cast<double>(n_win);
+  const double two_n = 2.0 * static_cast<double>(n_win);
   fs = pool.ParallelFor(
       num_candidates, ctx, [&](int64_t idx) -> std::optional<StopReason> {
         const uint64_t key = candidate_keys[static_cast<size_t>(idx)];
@@ -594,31 +621,72 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
         const int b =
             static_cast<int>(key % static_cast<uint64_t>(num_channels));
         PairVerdict& v = verdicts[static_cast<size_t>(idx)];
-        const double two_n = 2.0 * static_cast<double>(n_win);
+        // Folds one distance profile into the verdict, in alignment order.
+        const auto scan = [&](const double* dist, size_t len) {
+          for (size_t i = 0; i < len; ++i) {
+            const double r = 1.0 - dist[i] * dist[i] / two_n;
+            const double abs_r = std::fabs(r);
+            if (abs_r > v.best) v.best = abs_r;
+            if (v.best >= accept) {
+              v.pass = true;
+              return;
+            }
+          }
+        };
+        double dots[kDirectBandLimit];
+        double dist[kDirectBandLimit];
         for (int dir = 0; dir < 2 && !v.pass; ++dir) {
-          const TimeSeries& qs = channels[static_cast<size_t>(
-              dir == 0 ? a : b)];
-          const TimeSeries& ts = channels[static_cast<size_t>(
-              dir == 0 ? b : a)];
+          const size_t qc = static_cast<size_t>(dir == 0 ? a : b);
+          const size_t tc = static_cast<size_t>(dir == 0 ? b : a);
+          const double* qs = channels[qc].values().data();
+          const double* ts = channels[tc].values().data();
+          const WindowMoments* q_mom = moments.data() + qc * num_slots;
+          const WindowMoments* t_mom = moments.data() + tc * num_slots;
           for (int64_t g = 0; g < num_grid && !v.pass; ++g) {
             const int64_t qstart = g * hop;
             const int64_t lo = std::max<int64_t>(qstart - td, 0);
             const int64_t hi = std::min<int64_t>(qstart + td, last_start);
-            if (lo > hi) continue;
-            const std::vector<double> query =
-                qs.Slice(qstart, qstart + n_win - 1);
-            const std::vector<double> slice = ts.Slice(lo, hi + n_win - 1);
-            const std::vector<double> profile =
-                BandDistanceProfile(query, slice);
-            for (const double dist : profile) {
-              const double r = 1.0 - dist * dist / two_n;
-              const double abs_r = std::fabs(r);
-              if (abs_r > v.best) v.best = abs_r;
-              if (v.best >= accept) {
-                v.pass = true;
-                break;
+            const int64_t band = hi - lo + 1;
+            if (band >= kDirectBandLimit) {
+              const std::vector<double> profile = MassDistanceProfile(
+                  channels[qc].Slice(qstart, qstart + n_win - 1),
+                  channels[tc].Slice(lo, hi + n_win - 1));
+              scan(profile.data(), profile.size());
+              continue;
+            }
+            const size_t nb = static_cast<size_t>(band);
+            simd::SlidingDots(qs + qstart, m, ts + lo, nb, dots);
+#if TYCOS_AUDIT_ENABLED
+            {
+              static audit::Auditor* simd_audit =
+                  audit::Get("simd_vs_scalar");
+              if (simd_audit->ShouldSample(256)) {
+                double ref[kDirectBandLimit];
+                simd::SlidingDotsScalar(qs + qstart, m, ts + lo, nb, ref);
+                TYCOS_AUDIT_CHECK(simd_audit,
+                                  std::equal(ref, ref + nb, dots),
+                                  "prefilter sliding dots: SIMD != scalar "
+                                  "at band=" +
+                                      std::to_string(nb));
               }
             }
+#endif
+            // The query window starts on the grid, so its moments sit in
+            // the band's own slots at offset qstart - lo.
+            const size_t slot = band_slot[static_cast<size_t>(g)];
+            const WindowMoments q =
+                q_mom[slot + static_cast<size_t>(qstart - lo)];
+            const WindowMoments* w = t_mom + slot;
+            for (size_t i = 0; i < nb; ++i) {
+              if (q.std < 1e-12 || w[i].std < 1e-12) {
+                dist[i] = std::sqrt(2.0 * dm);
+                continue;
+              }
+              const double r = (dots[i] - dm * q.mean * w[i].mean) /
+                               (dm * q.std * w[i].std);
+              dist[i] = std::sqrt(std::max(0.0, 2.0 * dm * (1.0 - r)));
+            }
+            scan(dist, nb);
           }
         }
         return std::nullopt;

@@ -12,12 +12,16 @@
 //     grid hash with cell width ε₁; probes cover every start within
 //     ±td_max of a grid start, both correlation signs, and the 3^d
 //     neighboring cells, so any pair within ε₁ is generated.
+//     A channel stops probing once every other channel is its candidate.
 //   Stage 2 — sliding-dot Pearson prescreen. For each surviving pair, the
 //     exact max |Pearson r| over (hop-grid start on either channel) ×
 //     (every delay |τ| ≤ td_max) is computed from z-normalized distance
 //     profiles — MASS (src/fft/sliding_dot.h) when the delay band is wide
-//     enough to amortize an FFT, a direct O(window · band) scan otherwise;
-//     pairs below the threshold are dropped.
+//     enough to amortize an FFT, otherwise a direct scan: the band's dot
+//     products from simd::SlidingDots over the channels' own samples, and
+//     each window's mean and σ from a per-channel table computed once per
+//     probe start before the pair scans. Pairs below the threshold are
+//     dropped.
 //   Stage 3 — full TYCOS, run by the caller (search/allpairs.h) on the
 //     survivor list.
 //

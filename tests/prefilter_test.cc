@@ -221,6 +221,147 @@ TEST(PrefilterTest, SurvivorsAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// The stage-2 verdict of one pair by the direct per-pair scan: slice the
+// query and the delay band out of the channels, scan every alignment with
+// its own sums, and stop at the first |r| that reaches the accept level.
+// The cascade reads window moments from per-channel tables and the dot
+// products from simd::SlidingDots; both must reproduce these bits.
+struct DirectVerdict {
+  double best = 0.0;
+  bool pass = false;
+  int64_t scanned = 0;  // alignments scanned before the verdict
+};
+
+DirectVerdict DirectScanVerdict(const std::vector<TimeSeries>& channels,
+                                int a, int b, const PrefilterParams& p,
+                                double threshold) {
+  const int64_t n_win = p.window;
+  const int64_t last_start = channels[0].size() - n_win;
+  const double accept = threshold - 1e-6;
+  const double dm = static_cast<double>(n_win);
+  const double two_n = 2.0 * dm;
+  DirectVerdict v;
+  for (int dir = 0; dir < 2 && !v.pass; ++dir) {
+    const TimeSeries& qs = channels[static_cast<size_t>(dir == 0 ? a : b)];
+    const TimeSeries& ts = channels[static_cast<size_t>(dir == 0 ? b : a)];
+    for (int64_t qstart = 0; qstart <= last_start && !v.pass;
+         qstart += p.hop) {
+      const int64_t lo = std::max<int64_t>(qstart - p.td_max, 0);
+      const int64_t hi = std::min<int64_t>(qstart + p.td_max, last_start);
+      const std::vector<double> query = qs.Slice(qstart, qstart + n_win - 1);
+      const std::vector<double> slice = ts.Slice(lo, hi + n_win - 1);
+      double q_sum = 0.0;
+      double q_sq = 0.0;
+      for (const double x : query) {
+        q_sum += x;
+        q_sq += x * x;
+      }
+      const double q_mean = q_sum / dm;
+      const double q_std =
+          std::sqrt(std::max(0.0, q_sq / dm - q_mean * q_mean));
+      for (int64_t i = 0; i + n_win <= static_cast<int64_t>(slice.size());
+           ++i) {
+        double w_sum = 0.0;
+        double w_sq = 0.0;
+        double dot = 0.0;
+        for (int64_t j = 0; j < n_win; ++j) {
+          const double w = slice[static_cast<size_t>(i + j)];
+          w_sum += w;
+          w_sq += w * w;
+          dot += query[static_cast<size_t>(j)] * w;
+        }
+        const double w_mean = w_sum / dm;
+        const double w_std =
+            std::sqrt(std::max(0.0, w_sq / dm - w_mean * w_mean));
+        double dist = std::sqrt(2.0 * dm);
+        if (q_std >= 1e-12 && w_std >= 1e-12) {
+          const double r =
+              (dot - dm * q_mean * w_mean) / (dm * q_std * w_std);
+          dist = std::sqrt(std::max(0.0, 2.0 * dm * (1.0 - r)));
+        }
+        const double abs_r = std::fabs(1.0 - dist * dist / two_n);
+        ++v.scanned;
+        if (abs_r > v.best) v.best = abs_r;
+        if (v.best >= accept) {
+          v.pass = true;
+          break;
+        }
+      }
+    }
+  }
+  return v;
+}
+
+// Stage 2 keeps the bits of the direct scan on the shapes its tables and
+// kernel must get right: bands that overlap (hop 16 < 2 td + 1 = 21),
+// bands clipped at 0 and at last_start (452 = 512 - 60, within td of the
+// last grid start 448), a channel whose flat stretch holds whole constant
+// windows (the sigma < 1e-12 branch), T = 0.5 where stage 1 passes every
+// pair and the early exit fires, and T = 0.9 where stage 1 prunes.
+TEST(PrefilterTest, StageTwoMatchesTheDirectScanBitForBit) {
+  ClusteredDataset ds = MakeDataset(37, /*channels=*/16, /*clusters=*/3,
+                                    /*members=*/3);
+  // The stretch opens the lower channel of a planted pair, so that pair's
+  // scan meets the constant windows before it reaches the threshold. 2.5
+  // and its square are exact: the variance inside is exactly 0.
+  const size_t flat_channel = static_cast<size_t>(ds.pairs[0].a);
+  std::vector<double> flat = ds.channels[flat_channel].values();
+  for (size_t i = 0; i < 150; ++i) flat[i] = 2.5;
+  ds.channels[flat_channel] = TimeSeries(std::move(flat), "flat");
+  PrefilterParams p = SmallParams();
+  p.window = 60;  // not a power of two: 1/n and n· round, so a reordered
+                  // moment or Pearson formula changes bits
+  p.hop = 16;
+  p.td_max = 10;
+  p.paa_segments = 16;  // a sketch fine enough for stage 1 to prune at 0.9
+  p.svd_dims = 3;
+  const int n = static_cast<int>(ds.channels.size());
+  // Alignments in one pair's full family: 2 directions x the grid bands.
+  const int64_t last_start = ds.channels[0].size() - p.window;
+  int64_t family = 0;
+  for (int64_t g = 0; g <= last_start; g += p.hop) {
+    family += 2 * (std::min(g + p.td_max, last_start) -
+                   std::max<int64_t>(g - p.td_max, 0) + 1);
+  }
+  for (const double threshold : {0.5, 0.9}) {
+    SCOPED_TRACE(testing::Message() << "T = " << threshold);
+    const auto out = RunPrefilter(ds.channels, p, threshold, RunContext());
+    ASSERT_TRUE(out.ok()) << out.status().message();
+    const PrefilterOutcome& o = out.value();
+    if (threshold == 0.5) {
+      EXPECT_EQ(o.stats.stage1_candidates, o.stats.pairs_total);
+    } else {
+      EXPECT_LT(o.stats.stage1_candidates, o.stats.pairs_total);
+    }
+    int early_exits = 0;
+    size_t next = 0;
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        const DirectVerdict want =
+            DirectScanVerdict(ds.channels, a, b, p, threshold);
+        const bool kept = next < o.survivors.size() &&
+                          o.survivors[next].a == a &&
+                          o.survivors[next].b == b;
+        if (!kept) {
+          // Only stage 1 may drop a pair the direct scan passes, and it
+          // drops none at T = 0.5.
+          if (threshold == 0.5) {
+            EXPECT_FALSE(want.pass) << a << "," << b;
+          }
+          continue;
+        }
+        EXPECT_TRUE(want.pass) << a << "," << b;
+        EXPECT_EQ(o.survivors[next].best_pearson, std::min(want.best, 1.0))
+            << "pair (" << a << ", " << b << ")";
+        if (want.scanned < family) ++early_exits;
+        ++next;
+      }
+    }
+    EXPECT_EQ(next, o.survivors.size()) << "survivors out of order";
+    EXPECT_GT(early_exits, 0);
+  }
+}
+
 TEST(PrefilterTest, CancelledContextReportsStopNotSurvivors) {
   const ClusteredDataset ds = MakeDataset(23);
   RunContext ctx;

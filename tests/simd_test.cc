@@ -43,6 +43,8 @@ struct Kernels {
   size_t (*upper)(const double*, size_t, double);
   simd::MinMaxXYResult (*minmax_xy)(const double*, size_t);
   simd::MinMaxFiniteResult (*minmax_finite)(const double*, size_t);
+  void (*sliding_dots)(const double*, size_t, const double*, size_t,
+                       double*);
 };
 
 std::vector<Kernels> AllLevels() {
@@ -50,20 +52,20 @@ std::vector<Kernels> AllLevels() {
   v.push_back({"dispatch", &simd::ChebyshevToProbe,
                &simd::ChebyshevToProbeIdx, &simd::CountWithinInterleaved,
                &simd::LowerBound, &simd::UpperBound, &simd::MinMaxXY,
-               &simd::MinMaxFinite});
+               &simd::MinMaxFinite, &simd::SlidingDots});
 #if TYCOS_SIMD_LEVEL >= 1
   v.push_back({"sse4.2", &simd::sse42::ChebyshevToProbe,
                &simd::sse42::ChebyshevToProbeIdx,
                &simd::sse42::CountWithinInterleaved, &simd::sse42::LowerBound,
                &simd::sse42::UpperBound, &simd::sse42::MinMaxXY,
-               &simd::sse42::MinMaxFinite});
+               &simd::sse42::MinMaxFinite, &simd::sse42::SlidingDots});
 #endif
 #if TYCOS_SIMD_LEVEL >= 2
   v.push_back({"avx2", &simd::avx2::ChebyshevToProbe,
                &simd::avx2::ChebyshevToProbeIdx,
                &simd::avx2::CountWithinInterleaved, &simd::avx2::LowerBound,
                &simd::avx2::UpperBound, &simd::avx2::MinMaxXY,
-               &simd::avx2::MinMaxFinite});
+               &simd::avx2::MinMaxFinite, &simd::avx2::SlidingDots});
 #endif
   return v;
 }
@@ -312,6 +314,36 @@ TEST(SimdTest, MinMaxFiniteMatchesScalar) {
               << got.min << " vs " << want.min;
           EXPECT_TRUE(SameValue(got.max, want.max))
               << got.max << " vs " << want.max;
+        }
+      }
+    }
+  }
+}
+
+// Every band width through the group splits and the masked last vector,
+// at window lengths below, at, and past the masked final j steps. `t` is
+// unaligned and exactly band + n - 1 long, so an overread past it shows
+// under ASan; the slot after the band must stay unwritten.
+TEST(SimdTest, SlidingDotsMatchesScalar) {
+  for (const Kernels& k : AllLevels()) {
+    for (Mix mix : {Mix::kUniform, Mix::kDenormal}) {
+      for (size_t n : {1u, 3u, 64u, 128u, 129u}) {
+        const std::vector<double> q =
+            MakeArray(n, mix, 29 * n + static_cast<size_t>(mix));
+        for (size_t band = 1; band <= 70; ++band) {
+          SCOPED_TRACE(testing::Message()
+                       << k.name << " mix=" << static_cast<int>(mix)
+                       << " n=" << n << " band=" << band);
+          const std::vector<double> buf =
+              MakeArray(band + n, mix, 31 * band + n);
+          const double* t = buf.data() + 1;  // unaligned, band + n - 1 long
+          std::vector<double> got(band + 1, -1.0), want(band, -1.0);
+          k.sliding_dots(q.data(), n, t, band, got.data());
+          simd::SlidingDotsScalar(q.data(), n, t, band, want.data());
+          for (size_t i = 0; i < band; ++i) {
+            ASSERT_EQ(Bits(got[i]), Bits(want[i])) << "i=" << i;
+          }
+          EXPECT_EQ(got[band], -1.0) << "wrote past the band";
         }
       }
     }
