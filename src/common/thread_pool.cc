@@ -3,16 +3,87 @@
 #include <algorithm>
 #include <atomic>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "audit/audit.h"
 #include "common/check.h"
 
 namespace tycos {
 
+namespace {
+
+// The pool and worker index of the calling thread; null outside a pool.
+thread_local ThreadPool* tls_pool = nullptr;
+thread_local int tls_worker = -1;
+
+#if defined(__linux__)
+
+int CurrentCpu() { return sched_getcpu(); }
+
+// The CPUs the calling thread may run on, ascending.
+std::vector<int> AllowedCpus() {
+  std::vector<int> cpus;
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+// Moves the calling thread onto `cpu`, then gives it back the affinity
+// mask it had, so it runs there from now on and stays free to move. Best
+// effort: on an error the thread stays where it is.
+void MoveToCpu(int cpu) {
+  cpu_set_t had;
+  CPU_ZERO(&had);
+  if (sched_getaffinity(0, sizeof(had), &had) != 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) != 0) return;
+  sched_setaffinity(0, sizeof(had), &had);
+}
+
+#else  // no placement control: the kernel places every thread
+
+int CurrentCpu() { return -1; }
+std::vector<int> AllowedCpus() { return {}; }
+void MoveToCpu(int) {}
+
+#endif
+
+}  // namespace
+
 ThreadPool::ThreadPool(int num_workers) {
   TYCOS_CHECK_GE(num_workers, 0);
+  if (num_workers > 0) cpus_ = AllowedCpus();
+  if (cpus_.size() < 2) cpus_.clear();  // nothing to spread over
+  worker_cpu_ = std::vector<std::atomic<int>>(static_cast<size_t>(num_workers));
+  // Worker i starts on the i-th allowed CPU after the creator's, so the
+  // workers and the creator (ParallelFor's extra executor) begin apart.
+  size_t creator = 0;
+  const int here = CurrentCpu();
+  for (size_t k = 0; k < cpus_.size(); ++k) {
+    if (cpus_[k] == here) creator = k;
+  }
   workers_.reserve(static_cast<size_t>(num_workers));
   for (int i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    const int start =
+        cpus_.empty()
+            ? -1
+            : cpus_[(creator + 1 + static_cast<size_t>(i)) % cpus_.size()];
+    worker_cpu_[static_cast<size_t>(i)].store(start,
+                                              std::memory_order_relaxed);
+    workers_.emplace_back([this, i, start] {
+      tls_pool = this;
+      tls_worker = i;
+      if (start >= 0) MoveToCpu(start);
+      WorkerLoop();
+    });
   }
 }
 
@@ -35,7 +106,36 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
+    SpreadWorker();
     task();
+  }
+}
+
+void ThreadPool::SpreadWorker() {
+  ThreadPool* pool = tls_pool;
+  if (pool == nullptr || pool->cpus_.empty()) return;
+  const int here = CurrentCpu();
+  if (here < 0) return;
+  const size_t self = static_cast<size_t>(tls_worker);
+  std::vector<std::atomic<int>>& cpu_of = pool->worker_cpu_;
+  const size_t n = cpu_of.size();
+  cpu_of[self].store(here, std::memory_order_relaxed);
+  // Of two workers on one CPU the higher-numbered one moves, so the pair
+  // never both leave.
+  bool shared = false;
+  for (size_t j = 0; j < self && !shared; ++j) {
+    shared = cpu_of[j].load(std::memory_order_relaxed) == here;
+  }
+  if (!shared) return;
+  for (const int cpu : pool->cpus_) {
+    bool taken = false;
+    for (size_t j = 0; j < n && !taken; ++j) {
+      taken = j != self && cpu_of[j].load(std::memory_order_relaxed) == cpu;
+    }
+    if (taken) continue;
+    MoveToCpu(cpu);
+    cpu_of[self].store(CurrentCpu(), std::memory_order_relaxed);
+    return;
   }
 }
 

@@ -14,6 +14,7 @@
 #ifndef TYCOS_COMMON_THREAD_POOL_H_
 #define TYCOS_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -31,6 +32,16 @@ class ThreadPool {
   // Spawns `num_workers` background threads. 0 is valid: the pool then has
   // no threads and ParallelFor runs entirely inline on the calling thread —
   // the exact sequential reference path.
+  //
+  // Worker placement (Linux): worker i starts on the i-th CPU of the
+  // creator's affinity mask after the creator's own CPU, and before each
+  // task a worker that finds a lower-numbered worker of its pool on its CPU
+  // moves to a CPU no worker of the pool is on. Moves keep the affinity
+  // mask as it was, so the kernel stays free to place threads. Where the
+  // kernel does not balance load across CPUs (a cpuset with
+  // sched_load_balance off), a new thread starts on its creator's CPU and
+  // a woken one on its last CPU, and without this a pool's workers could
+  // share one CPU for as long as they stay busy.
   explicit ThreadPool(int num_workers);
 
   // Drains the queue, then joins every worker.
@@ -61,6 +72,11 @@ class ThreadPool {
   // wall-clock. See DESIGN.md "Threading model".
   static int ResolveNestedThreadCount(int requested, int outer_executors);
 
+  // The per-task placement check above, for a task that keeps its worker
+  // for many units of work (a scheduler's drain loop): call it between
+  // units. A no-op on a thread that is not a pool worker.
+  static void SpreadWorker();
+
   struct ForStatus {
     int64_t claimed = 0;  // indices executed — always the prefix [0, claimed)
     std::optional<StopReason> stop;  // first stop observed, if any
@@ -87,6 +103,10 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_ TYCOS_GUARDED_BY(mu_);
   bool shutdown_ TYCOS_GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_;
+  // Allowed CPUs of the creator, ascending (empty: no placement), and the
+  // CPU each worker was last seen on (its start CPU before its first task).
+  std::vector<int> cpus_;
+  std::vector<std::atomic<int>> worker_cpu_;
 };
 
 }  // namespace tycos

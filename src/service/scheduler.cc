@@ -102,6 +102,7 @@ void Scheduler::DrainLoop() {
       }
       next = PopNextLocked();
     }
+    ThreadPool::SpreadWorker();
     next.job();
   }
 }

@@ -10,6 +10,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace tycos {
 namespace {
 
@@ -80,6 +84,61 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
     }
   }  // ~ThreadPool joins after the queue drains
   EXPECT_EQ(done.load(), 100);
+}
+
+#if defined(__linux__)
+// Placement moves a worker but never pins it: every worker, before and
+// after its placement checks, runs under the mask its creator had. The
+// creator's mask is narrowed to two CPUs (where there are two) so that
+// three workers must share and the moves actually happen.
+TEST(ThreadPoolTest, WorkersKeepTheCreatorsAffinityMask) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  cpu_set_t creator;
+  CPU_ZERO(&creator);
+  int kept = 0;
+  for (int cpu = 0; cpu < CPU_SETSIZE && kept < 2; ++cpu) {
+    if (CPU_ISSET(cpu, &original)) {
+      CPU_SET(cpu, &creator);
+      ++kept;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(creator), &creator), 0);
+  std::atomic<int> same{0};
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(3);
+    for (int i = 0; i < 60; ++i) {
+      pool.Submit([&] {
+        ThreadPool::SpreadWorker();
+        cpu_set_t mask;
+        CPU_ZERO(&mask);
+        if (sched_getaffinity(0, sizeof(mask), &mask) == 0 &&
+            CPU_EQUAL(&mask, &creator)) {
+          same.fetch_add(1);
+        }
+        ran.fetch_add(1);
+      });
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(ran.load(), 60);
+  EXPECT_EQ(same.load(), 60);
+}
+#endif
+
+TEST(ThreadPoolTest, SpreadWorkerOutsideAPoolIsANoop) {
+  ThreadPool::SpreadWorker();
+  ThreadPool pool(2);
+  int64_t sum = 0;
+  pool.ParallelFor(1, RunContext::None(),
+                   [&](int64_t i) -> std::optional<StopReason> {
+                     ThreadPool::SpreadWorker();  // the calling thread
+                     sum += i + 1;
+                     return std::nullopt;
+                   });
+  EXPECT_EQ(sum, 1);
 }
 
 TEST(ThreadPoolTest, ParallelForVisitsEachIndexExactlyOnce) {
