@@ -1,19 +1,20 @@
-// All-pairs discovery at production channel counts: the prefilter cascade
+// All-pairs discovery at production channel counts: the exact prefilter
 // (search/allpairs.h) in front of the durable pairwise search, on a
 // 1000-channel synthetic dataset with planted correlated clusters
 // (datagen/clusters.h). Measures and asserts:
 //
-//   * pruning — the cascade must remove >= 95% of the C(1000, 2) = 499500
+//   * pruning — the prefilter must remove >= 95% of the C(1000, 2) = 499500
 //     pair universe before TYCOS runs (the smoke tier asserts nonzero
 //     pruning);
-//   * recall — every planted intra-cluster pair must survive the cascade;
+//   * recall — every planted intra-cluster pair must survive the prefilter;
 //   * determinism — the survivor list must be bit-identical at 1, 2, and
 //     8 threads;
 //   * resume — a run interrupted at a pair boundary (voluntary pause) and
 //     resumed must produce entries bit-identical to an uninterrupted run;
-//   * end-to-end wall time, per-stage timings, and the speedup over the
-//     extrapolated full sweep;
-//   * stage-1 evidence — the stage-1 pass ratio and both stage costs at
+//   * end-to-end wall time, the prefilter and TYCOS phases, and the
+//     speedup over the extrapolated full sweep, at one thread and again
+//     at the host's thread count (entries must be bit-identical);
+//   * threshold sweep — the prefilter's cost and survivor count at
 //     T = 0.5 ... 0.9, on this dataset and on a 320-channel one shaped
 //     like perfbench's discover workload, at the host's thread count.
 //
@@ -121,8 +122,6 @@ int main(int argc, char** argv) {
   // planted ground truth, not assumed.
   options.prefilter.window = 128;
   options.prefilter.hop = 128;
-  options.prefilter.paa_segments = 16;
-  options.prefilter.svd_dims = 3;
   // The cluster generator plants *linear* correlations (r ~ 0.94 at
   // alignment), so pruning exactly at T = sigma is lossless for this
   // workload; the conservative 0.75 default is for MI that can outrun its
@@ -141,13 +140,13 @@ int main(int argc, char** argv) {
   const PrefilterParams resolved =
       ResolveAllPairsPrefilter(options.prefilter, params, gen.length);
   const double threshold = ResolvePearsonThreshold(resolved, params.sigma);
-  std::printf("\ncascade: window %lld, hop %lld, td %lld, T = %.3f\n",
+  std::printf("\nprefilter: window %lld, hop %lld, td %lld, T = %.3f\n",
               static_cast<long long>(resolved.window),
               static_cast<long long>(resolved.hop),
               static_cast<long long>(resolved.td_max), threshold);
-  std::printf("%8s %10s %10s %12s %12s %10s\n", "threads", "stage1_s",
-              "stage2_s", "candidates", "survivors", "identical");
-  tycos::bench::PrintRule(68);
+  std::printf("%8s %10s %12s %10s\n", "threads", "stage2_s", "survivors",
+              "identical");
+  tycos::bench::PrintRule(44);
 
   struct PrefilterRow {
     int threads;
@@ -169,9 +168,8 @@ int main(int argc, char** argv) {
     row.stats = out.value().stats;
     row.identical = SameSurvivors(reference_survivors, out.value().survivors);
     prows.push_back(row);
-    std::printf("%8d %10.2f %10.2f %12lld %12lld %10s\n", threads,
-                row.stats.stage1_seconds, row.stats.stage2_seconds,
-                static_cast<long long>(row.stats.stage1_candidates),
+    std::printf("%8d %10.2f %12lld %10s\n", threads,
+                row.stats.stage2_seconds,
                 static_cast<long long>(row.stats.stage2_survivors),
                 row.identical ? "yes" : "NO");
   }
@@ -183,7 +181,7 @@ int main(int argc, char** argv) {
     return Fail("survivor sets differ across thread counts");
   }
 
-  // --- Recall: every planted pair must survive the cascade ---------------
+  // --- Recall: every planted pair must survive the prefilter -------------
   int64_t planted_kept = 0;
   for (const datagen::PlantedClusterPair& p : ds.pairs) {
     for (const PrefilterSurvivor& s : reference_survivors) {
@@ -225,21 +223,18 @@ int main(int argc, char** argv) {
   }
   const jobs::AllPairsJobOutcome& fo = full.value();
   const int64_t survivors = static_cast<int64_t>(fo.survivors.size());
-  const double tycos_s =
-      full_s - fo.prefilter.stage1_seconds - fo.prefilter.stage2_seconds;
-  // The full sweep this cascade replaces, extrapolated from the measured
+  const double tycos_s = full_s - fo.prefilter.stage2_seconds;
+  // The full sweep this prefilter replaces, extrapolated from the measured
   // per-survivor TYCOS cost (each pair's search is independent, so the
   // extrapolation is linear).
   const double est_full_sweep_s =
       survivors > 0 ? tycos_s * static_cast<double>(total_pairs) /
                           static_cast<double>(survivors) +
-                          fo.prefilter.stage1_seconds +
                           fo.prefilter.stage2_seconds
                     : 0.0;
-  std::printf("\nend-to-end: %.2fs (stage1 %.2fs, stage2 %.2fs, tycos "
-              "%.2fs over %lld survivors)\n",
-              full_s, fo.prefilter.stage1_seconds,
-              fo.prefilter.stage2_seconds, tycos_s,
+  std::printf("\nend-to-end: %.2fs (prefilter %.2fs, tycos %.2fs over %lld "
+              "survivors)\n",
+              full_s, fo.prefilter.stage2_seconds, tycos_s,
               static_cast<long long>(survivors));
   std::printf("estimated full sweep: %.1fs (%.1fx speedup)\n",
               est_full_sweep_s,
@@ -282,8 +277,8 @@ int main(int argc, char** argv) {
 
   // Metrics sidecar: the obs-registry snapshot (prefilter.* counters,
   // jobs.pairs_pruned, ...) accumulated over every run above. Written
-  // before the threshold sweep, so its counters cover the determinism,
-  // end-to-end and resume runs only.
+  // before the host-thread run and the threshold sweep, so its counters
+  // cover the determinism, end-to-end and resume runs only.
   std::string metrics_path = out_path;
   const std::string suffix = ".json";
   if (metrics_path.size() >= suffix.size() &&
@@ -300,7 +295,41 @@ int main(int argc, char** argv) {
                  metrics_ok.message().c_str());
   }
 
-  // --- Stage-1 evidence: pass ratio and stage costs across T -------------
+  // --- End-to-end again at the host's thread count ----------------------
+  // The run above fans TYCOS out at num_threads = 1; this one uses every
+  // hardware thread (prefilter included) and must reproduce its entries.
+  const int host_threads = ThreadPool::ResolveThreadCount(0);
+  TycosParams host_params = params;
+  host_params.num_threads = host_threads;
+  jobs::AllPairsJobOptions host_opt = jopt;
+  host_opt.durable.checkpoint_path = out_path + ".host.ckpt";
+  std::remove(host_opt.durable.checkpoint_path.c_str());
+  std::remove((host_opt.durable.checkpoint_path + ".survivors").c_str());
+  Result<jobs::AllPairsJobOutcome> host = Status::Internal("unrun");
+  const double host_s = TimeIt([&] {
+    host = jobs::ResumeAllPairsSearch(ds.channels, host_params,
+                                      TycosVariant::kLMN, 7,
+                                      RunContext::None(), host_opt);
+  });
+  std::remove(host_opt.durable.checkpoint_path.c_str());
+  std::remove((host_opt.durable.checkpoint_path + ".survivors").c_str());
+  if (!host.ok() ||
+      host.value().durable.result.stop_reason != StopReason::kCompleted) {
+    return Fail("end-to-end run at the host's thread count did not complete");
+  }
+  const bool host_identical = SameEntries(host.value().durable.result.entries,
+                                          fo.durable.result.entries);
+  const double host_prefilter_s = host.value().prefilter.stage2_seconds;
+  const double host_tycos_s = host_s - host_prefilter_s;
+  std::printf("end-to-end at %d threads: %.2fs (prefilter %.2fs, tycos "
+              "%.2fs), identical %s\n",
+              host_threads, host_s, host_prefilter_s, host_tycos_s,
+              host_identical ? "yes" : "NO");
+  if (!host_identical) {
+    return Fail("entries differ between 1 thread and the host's threads");
+  }
+
+  // --- Threshold sweep: prefilter cost and survivors across T ------------
   struct SweepRow {
     int channels;
     double threshold;
@@ -326,11 +355,10 @@ int main(int argc, char** argv) {
       sets.push_back(&discover_shape.channels);
     }
     sets.push_back(&ds.channels);
-    std::printf("\nstage-1 sweep at %d threads:\n",
-                ThreadPool::ResolveThreadCount(0));
-    std::printf("%9s %6s %12s %10s %10s %10s\n", "channels", "T",
-                "s1_pass", "stage1_s", "stage2_s", "survivors");
-    tycos::bench::PrintRule(62);
+    std::printf("\nthreshold sweep at %d threads:\n", host_threads);
+    std::printf("%9s %6s %10s %10s\n", "channels", "T", "stage2_s",
+                "survivors");
+    tycos::bench::PrintRule(38);
     for (const std::vector<TimeSeries>* channels : sets) {
       for (const double t : {0.5, 0.6, 0.7, 0.8, 0.9}) {
         PrefilterParams p = resolved;
@@ -341,11 +369,8 @@ int main(int argc, char** argv) {
         }
         const PrefilterStats& st = out.value().stats;
         sweep.push_back({static_cast<int>(channels->size()), t, st});
-        std::printf("%9zu %6.2f %12.4f %10.3f %10.3f %10lld\n",
-                    channels->size(), t,
-                    static_cast<double>(st.stage1_candidates) /
-                        static_cast<double>(st.pairs_total),
-                    st.stage1_seconds, st.stage2_seconds,
+        std::printf("%9zu %6.2f %10.3f %10lld\n", channels->size(), t,
+                    st.stage2_seconds,
                     static_cast<long long>(st.stage2_survivors));
       }
     }
@@ -375,15 +400,10 @@ int main(int argc, char** argv) {
   tycos::bench::WriteHostJson(f);
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "  \"cascade\": {\n");
-  std::fprintf(f, "    \"window\": %lld, \"hop\": %lld, "
-               "\"paa_segments\": %d, \"svd_dims\": %d,\n",
+  std::fprintf(f, "    \"window\": %lld, \"hop\": %lld,\n",
                static_cast<long long>(resolved.window),
-               static_cast<long long>(resolved.hop), resolved.paa_segments,
-               resolved.svd_dims);
+               static_cast<long long>(resolved.hop));
   std::fprintf(f, "    \"pearson_threshold\": %.4f,\n", threshold);
-  std::fprintf(f, "    \"epsilon1\": %.4f,\n", pstats.epsilon1);
-  std::fprintf(f, "    \"stage1_candidates\": %lld,\n",
-               static_cast<long long>(pstats.stage1_candidates));
   std::fprintf(f, "    \"stage2_survivors\": %lld,\n",
                static_cast<long long>(pstats.stage2_survivors));
   std::fprintf(f, "    \"pairs_pruned\": %lld,\n",
@@ -398,7 +418,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"end_to_end\": {\n");
   std::fprintf(f, "    \"datagen_s\": %.2f,\n", gen_s);
-  std::fprintf(f, "    \"stage1_s\": %.2f,\n", fo.prefilter.stage1_seconds);
   std::fprintf(f, "    \"stage2_s\": %.2f,\n", fo.prefilter.stage2_seconds);
   std::fprintf(f, "    \"tycos_s\": %.2f,\n", tycos_s);
   std::fprintf(f, "    \"wall_s\": %.2f,\n", full_s);
@@ -409,17 +428,21 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"resume_identical\": %s\n",
                resume_identical ? "true" : "false");
   std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"end_to_end_host_threads\": {\n");
+  std::fprintf(f, "    \"threads\": %d,\n", host_threads);
+  std::fprintf(f, "    \"stage2_s\": %.2f,\n", host_prefilter_s);
+  std::fprintf(f, "    \"tycos_s\": %.2f,\n", host_tycos_s);
+  std::fprintf(f, "    \"wall_s\": %.2f,\n", host_s);
+  std::fprintf(f, "    \"identical\": %s\n",
+               host_identical ? "true" : "false");
+  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"threshold_sweep\": [\n");
   for (size_t i = 0; i < sweep.size(); ++i) {
     const SweepRow& r = sweep[i];
     std::fprintf(f,
                  "    {\"channels\": %d, \"threshold\": %.2f, "
-                 "\"stage1_pass_ratio\": %.4f, \"stage1_s\": %.3f, "
                  "\"stage2_s\": %.3f, \"survivors\": %lld}%s\n",
-                 r.channels, r.threshold,
-                 static_cast<double>(r.stats.stage1_candidates) /
-                     static_cast<double>(r.stats.pairs_total),
-                 r.stats.stage1_seconds, r.stats.stage2_seconds,
+                 r.channels, r.threshold, r.stats.stage2_seconds,
                  static_cast<long long>(r.stats.stage2_survivors),
                  i + 1 < sweep.size() ? "," : "");
   }
@@ -428,9 +451,9 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < prows.size(); ++i) {
     const PrefilterRow& r = prows[i];
     std::fprintf(f,
-                 "    {\"threads\": %d, \"stage1_s\": %.2f, "
-                 "\"stage2_s\": %.2f, \"identical\": %s}%s\n",
-                 r.threads, r.stats.stage1_seconds, r.stats.stage2_seconds,
+                 "    {\"threads\": %d, \"stage2_s\": %.2f, "
+                 "\"identical\": %s}%s\n",
+                 r.threads, r.stats.stage2_seconds,
                  r.identical ? "true" : "false",
                  i + 1 < prows.size() ? "," : "");
   }

@@ -1,6 +1,6 @@
 // Portable SIMD kernels for the KSG hot loops — L∞ distance scans,
 // marginal range counts, bound searches, and min/max reductions — plus the
-// sliding dot products of the all-pairs prefilter's stage 2.
+// sliding dot products of the all-pairs prefilter.
 //
 // The instruction set is selected at BUILD time (no runtime dispatch): the
 // TYCOS_SIMD_LEVEL macro is 2 (AVX2), 1 (SSE4.2), or 0 (scalar), chosen by
@@ -116,8 +116,8 @@ MinMaxFiniteResult MinMaxFiniteScalar(const double* v, size_t n);
 // --- Sliding dot products ---------------------------------------------------
 
 // out[i] = Σ_{j<n} q[j] · t[i + j] for i in [0, band), each sum accumulated
-// from 0.0 in ascending j. `t` holds band + n − 1 values. The direct
-// (thin-band) distance profile of the prefilter's stage 2.
+// from 0.0 in ascending j. `t` holds band + n − 1 values. The dot
+// products of the prefilter's Pearson scan, at any band width.
 void SlidingDots(const double* q, size_t n, const double* t, size_t band,
                  double* out);
 void SlidingDotsScalar(const double* q, size_t n, const double* t,

@@ -388,8 +388,6 @@ uint64_t HashPrefilterConfig(const TycosParams& params, TycosVariant variant,
   buf.PutU64(HashSearchConfig(params, variant, seed));
   buf.PutI64(prefilter.window);
   buf.PutI64(prefilter.hop);
-  buf.PutU32(static_cast<uint32_t>(prefilter.paa_segments));
-  buf.PutU32(static_cast<uint32_t>(prefilter.svd_dims));
   buf.PutI64(prefilter.td_max);
   buf.PutDouble(prefilter.pearson_threshold);
   buf.PutDouble(prefilter.mi_conservativeness);

@@ -105,7 +105,8 @@ struct SurvivorData {
 
 // Hash of everything that determines the survivor list: HashSearchConfig
 // plus every result-affecting prefilter knob (num_threads excluded — the
-// cascade is thread-count deterministic). Callers hash the RESOLVED
+// prefilter is thread-count deterministic — and the unused paa_segments
+// and svd_dims too). Callers hash the RESOLVED
 // prefilter params (ResolveAllPairsPrefilter), so auto fields that
 // resolve differently against different data rebind the file.
 uint64_t HashPrefilterConfig(const TycosParams& params, TycosVariant variant,

@@ -25,7 +25,7 @@
 namespace tycos {
 
 struct AllPairsOptions {
-  // Stage-1/2 configuration. Fields left at their auto defaults are
+  // Prefilter configuration. Fields left at their auto defaults are
   // resolved against the data and TycosParams: window/hop from the series
   // length, td_max from params.td_max, the Pearson threshold from
   // params.sigma × mi_conservativeness, num_threads from
@@ -38,10 +38,10 @@ struct AllPairsResult {
   // pairs_skipped counts survivors not reached before a stop — pruned
   // pairs are accounted separately in `pairs_pruned`, never as skipped.
   PairwiseResult result;
-  // Stage-1/2 telemetry, including the resolved threshold and ε₁.
+  // Prefilter telemetry, including the resolved threshold.
   PrefilterStats prefilter;
   // Survivor list the search ran over (canonical (a, b) order), with the
-  // stage-2 Pearson evidence that admitted each pair.
+  // Pearson evidence that admitted each pair.
   std::vector<PrefilterSurvivor> survivors;
   int64_t pairs_pruned = 0;  // pairs_total − survivors
 };

@@ -1,46 +1,30 @@
-// Cheap-to-expensive prefilter cascade in front of PairwiseSearch: prunes
-// the O(C²) pair universe down to the pairs that can plausibly hold a
-// delay-correlated window, so full TYCOS runs on survivors only.
+// Exact prefilter in front of PairwiseSearch: prunes the O(C²) pair
+// universe down to the pairs that can plausibly hold a delay-correlated
+// window, so full TYCOS runs on survivors only.
 //
-//   Stage 1 — PAA sketch + SVD + ε-bucketing (near-linear candidate
-//     generation). Every channel is sketched at hop-grid window starts:
-//     the window is z-normalized and reduced to `paa_segments` weighted
-//     segment means (coordinate j is sqrt(len_j) · mean_j, so the sketch
-//     distance LOWER-bounds the z-normalized Euclidean distance). Sketches
-//     are projected onto the top `svd_dims` principal directions (an
-//     orthonormal projection, another contraction) and inserted into a
-//     grid hash with cell width ε₁; probes cover every start within
-//     ±td_max of a grid start, both correlation signs, and the 3^d
-//     neighboring cells, so any pair within ε₁ is generated.
-//     A channel stops probing once every other channel is its candidate.
-//   Stage 2 — sliding-dot Pearson prescreen. For each surviving pair, the
-//     exact max |Pearson r| over (hop-grid start on either channel) ×
-//     (every delay |τ| ≤ td_max) is computed from z-normalized distance
-//     profiles — MASS (src/fft/sliding_dot.h) when the delay band is wide
-//     enough to amortize an FFT, otherwise a direct scan: the band's dot
-//     products from simd::SlidingDots over the channels' own samples, and
-//     each window's mean and σ from a per-channel table computed once per
-//     probe start before the pair scans. Pairs below the threshold are
-//     dropped.
-//   Stage 3 — full TYCOS, run by the caller (search/allpairs.h) on the
-//     survivor list.
+// One exact stage: a sliding-dot Pearson prescreen over every pair
+// (a < b). The max |Pearson r| over (hop-grid start on either channel) ×
+// (every delay |τ| ≤ td_max) at window length `window` is computed
+// directly: the band's dot products from simd::SlidingDots over the
+// channels' own samples, and each window's mean and σ from a per-channel
+// table computed once per probe start before the pair scans. A pair's
+// scan stops as soon as |r| reaches the threshold; pairs that never reach
+// it are dropped. Full TYCOS then runs on the survivor list (the caller,
+// search/allpairs.h). The stats and counters keep their stage-2 names
+// (stage2_survivors, stage2_seconds, prefilter.stage2.candidates) from
+// when a sketch stage ran first.
 //
-// False-dismissal bound: for z-normalized windows of length n,
-// ‖X − Y‖² = 2n(1 − r), so |r| ≥ T implies min(d(X, Y), d(X, −Y)) ≤
-// sqrt(2n(1 − T)) = ε₁. Both sketching and projection contract distances,
-// so a pair with any qualifying window in the guarantee family (grid
-// start on either channel, |delay| ≤ td_max, either sign, window length
-// `window`) always survives stage 1, and stage 2 evaluates that family
-// exactly — the cascade is LOSSLESS for linear correlation at the
-// prefilter scale. MI can exceed what Pearson sees (nonlinear, or at
-// other window lengths), which is why the threshold is derived
-// conservatively from σ (see mi_conservativeness) rather than equated
-// with it.
+// No false dismissal: the prefilter evaluates the guarantee family
+// (grid start on either channel, |delay| ≤ td_max, either sign, window
+// length `window`) exactly, so a pair with any window of |r| ≥ T in it
+// always survives — the prefilter is LOSSLESS for linear correlation at
+// its scale. MI can exceed what Pearson sees (nonlinear, or at other
+// window lengths), which is why the threshold is derived conservatively
+// from σ (see mi_conservativeness) rather than equated with it.
 //
-// Determinism: sketches, Gram accumulation, the Jacobi eigensolver,
-// candidate checks, and the stage-2 scans are pure per-unit functions;
-// parallel phases store into pre-sized slots and merge in index order, so
-// the survivor list is bit-identical at any thread count.
+// Determinism: the moments table and each pair's scan are pure per-unit
+// functions; parallel phases store into pre-sized slots in (a, b) order,
+// so the survivor list is bit-identical at any thread count.
 
 #ifndef TYCOS_SEARCH_PREFILTER_H_
 #define TYCOS_SEARCH_PREFILTER_H_
@@ -57,27 +41,23 @@
 namespace tycos {
 
 struct PrefilterParams {
-  // Sketch window length n. <= 0 = auto: min(128, series length). The
-  // recall guarantee is stated at this scale; windows much shorter or
-  // longer are covered only insofar as their correlation bleeds into
-  // length-n windows.
+  // Window length n. <= 0 = auto: min(128, series length). The recall
+  // guarantee is stated at this scale; windows much shorter or longer are
+  // covered only insofar as their correlation bleeds into length-n
+  // windows.
   int64_t window = 0;
 
-  // Grid step between sketched window starts. <= 0 = auto: window / 2
+  // Grid step between query window starts. <= 0 = auto: window / 2
   // (adjacent grid windows overlap by half, so no alignment can hide
   // between grid points entirely).
   int64_t hop = 0;
 
-  // PAA segment count k_s (sketch dimensionality before projection).
+  // Unused (the sketch stage is gone): not read, validated or hashed.
   int paa_segments = 8;
-
-  // Projection dimensionality k_b (top principal directions kept for the
-  // ε-grid hash). Must be <= paa_segments. Smaller = cheaper probes,
-  // looser stage-1 pruning; the stage-1 check always verifies with the
-  // full k_s-dim sketch distance, so correctness is unaffected.
+  // Unused (the sketch stage is gone): not read, validated or hashed.
   int svd_dims = 2;
 
-  // Maximum |delay| (samples) the cascade must preserve. < 0 = derive
+  // Maximum |delay| (samples) the prefilter must preserve. < 0 = derive
   // from TycosParams.td_max (done by AllPairsSearch); RunPrefilter itself
   // requires an explicit value >= 0.
   int64_t td_max = -1;
@@ -108,14 +88,12 @@ double ResolvePearsonThreshold(const PrefilterParams& params, double sigma);
 
 struct PrefilterStats {
   int64_t channels = 0;
-  int64_t pairs_total = 0;        // C(channels, 2): candidates into stage 1
-  int64_t sketch_points = 0;      // grid sketches inserted into the hash
-  int64_t stage1_candidates = 0;  // distinct pairs out of stage 1
-  int64_t stage2_survivors = 0;   // pairs out of stage 2 (into TYCOS)
-  double stage1_seconds = 0.0;
-  double stage2_seconds = 0.0;
-  double threshold = 0.0;  // resolved T
-  double epsilon1 = 0.0;   // sqrt(2 n (1 - T)), the stage-1 radius
+  int64_t pairs_total = 0;        // C(channels, 2): pairs scanned
+  int64_t stage1_candidates = 0;  // always pairs_total (no sketch stage)
+  int64_t stage2_survivors = 0;   // pairs out of the prefilter (into TYCOS)
+  double stage1_seconds = 0.0;    // always 0 (no sketch stage)
+  double stage2_seconds = 0.0;    // moments table + pair scans
+  double threshold = 0.0;         // resolved T
 
   // Fraction of the pair universe pruned before TYCOS.
   double PruningRate() const {
@@ -129,14 +107,14 @@ struct PrefilterStats {
 struct PrefilterSurvivor {
   int a = 0;  // channel indices, a < b
   int b = 0;
-  // Strongest |Pearson r| stage 2 saw before accepting the pair (the scan
+  // Strongest |Pearson r| the scan saw before accepting the pair (it
   // stops early once the threshold is crossed, so this is a lower bound
   // on the true best over the guarantee family).
   double best_pearson = 0.0;
 };
 
 struct PrefilterOutcome {
-  // Survivors in canonical (a, b) order. When `stop` is set the cascade
+  // Survivors in canonical (a, b) order. When `stop` is set the prefilter
   // was cut short by the RunContext and this list is INCOMPLETE — callers
   // must rerun the prefilter rather than treat missing pairs as pruned
   // (the durable layer never persists a stopped outcome).
@@ -148,9 +126,9 @@ struct PrefilterOutcome {
   std::vector<std::pair<int, int>> PairList() const;
 };
 
-// Runs stages 1 + 2 over `channels` (>= 2, equal lengths, finite values)
+// Runs the prefilter over `channels` (>= 2, equal lengths, finite values)
 // with the resolved Pearson threshold T in (0, 1]. Emits the prefilter.*
-// obs counters (candidates in/out per stage, pairs pruned) once per run.
+// obs counters (pairs in, survivors, pairs pruned) once per run.
 Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
                                       const PrefilterParams& params,
                                       double threshold, const RunContext& ctx);

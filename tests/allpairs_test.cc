@@ -453,6 +453,12 @@ TEST(SurvivorListTest, PrefilterConfigHashCoversEveryKnob) {
   changed.num_threads = 8;
   EXPECT_EQ(base,
             jobs::HashPrefilterConfig(params, TycosVariant::kLMN, 1, changed));
+  // Nor may the unused sketch settings.
+  changed = pf;
+  changed.paa_segments = 16;
+  changed.svd_dims = 3;
+  EXPECT_EQ(base,
+            jobs::HashPrefilterConfig(params, TycosVariant::kLMN, 1, changed));
 }
 
 // Satellite: the prefilter.* and jobs.pairs_pruned counters flow into the
@@ -472,7 +478,7 @@ TEST(AllPairsReportTest, MetricsSectionListsPrefilterCounters) {
   const std::string md = RenderPairwiseReport(
       ds.channels, Params(), out.value().durable.result, ropt);
   EXPECT_NE(md.find("## Metrics"), std::string::npos);
-  EXPECT_NE(md.find("prefilter.stage1.candidates"), std::string::npos);
+  EXPECT_NE(md.find("prefilter.pairs_in"), std::string::npos);
   EXPECT_NE(md.find("prefilter.stage2.candidates"), std::string::npos);
   EXPECT_NE(md.find("prefilter.pairs_pruned"), std::string::npos);
   EXPECT_NE(md.find("jobs.pairs_pruned"), std::string::npos);

@@ -39,15 +39,13 @@ PrefilterParams SmallParams() {
   p.window = 64;
   p.hop = 32;
   p.td_max = 6;
-  p.paa_segments = 8;
-  p.svd_dims = 2;
   return p;
 }
 
-// Brute-force maximum |Pearson r| over the cascade's recall-guarantee
+// Brute-force maximum |Pearson r| over the prefilter's recall-guarantee
 // family: (query side a or b) × (hop-grid start on the query side) ×
 // (every window start within ±td of it on the other side), at window
-// length n. The property tests compare the cascade against this oracle.
+// length n. The property tests compare the prefilter against this oracle.
 double BestFamilyPearson(const std::vector<TimeSeries>& channels, int a,
                          int b, const PrefilterParams& p) {
   const int64_t n = p.window;
@@ -78,9 +76,8 @@ bool Survived(const PrefilterOutcome& out, int a, int b) {
   return false;
 }
 
-// The tentpole property: across seeds, the cascade NEVER prunes a pair
-// whose best guarantee-family window has |Pearson r| >= T. (Satellite:
-// prefilter recall property test.)
+// The recall property: across seeds, the prefilter NEVER prunes a pair
+// whose best guarantee-family window has |Pearson r| >= T.
 TEST(PrefilterRecallTest, NeverPrunesAPairAboveThreshold) {
   const double threshold = 0.4;
   for (uint64_t seed : {1u, 2u, 3u}) {
@@ -104,15 +101,16 @@ TEST(PrefilterRecallTest, NeverPrunesAPairAboveThreshold) {
   }
 }
 
-// A delay range wide enough to flip stage 2 onto the FFT/MASS path
-// (band >= 64 alignments) must uphold the same recall guarantee.
+// A delay range wide enough for bands of 81 alignments, past the width
+// of the kernel's widest register group, must uphold the same recall
+// guarantee.
 TEST(PrefilterRecallTest, WideDelayBandUsesFftPathAndStillRecalls) {
   const double threshold = 0.4;
   const ClusteredDataset ds =
       MakeDataset(31, /*channels=*/10, /*clusters=*/2, /*members=*/2,
                   /*length=*/384, /*max_delay=*/6);
   PrefilterParams p = SmallParams();
-  p.td_max = 40;  // band = 81 alignments: the MASS branch
+  p.td_max = 40;  // band = 81 alignments
   const auto out = RunPrefilter(ds.channels, p, threshold, RunContext());
   ASSERT_TRUE(out.ok()) << out.status().message();
   const int n = static_cast<int>(ds.channels.size());
@@ -128,8 +126,8 @@ TEST(PrefilterRecallTest, WideDelayBandUsesFftPathAndStillRecalls) {
   }
 }
 
-// Anti-correlated pairs (r <= -T) must survive too: the cascade probes
-// both sketch signs and stage 2 scores |r|.
+// Anti-correlated pairs (r <= -T) must survive too: the prefilter scores
+// |r|.
 TEST(PrefilterRecallTest, KeepsAntiCorrelatedPairs) {
   const ClusteredDataset ds = MakeDataset(7, /*channels=*/8, /*clusters=*/1,
                                           /*members=*/2);
@@ -147,8 +145,8 @@ TEST(PrefilterRecallTest, KeepsAntiCorrelatedPairs) {
   EXPECT_TRUE(Survived(out.value(), ds.pairs[0].a, ds.pairs[0].b));
 }
 
-// Every planted intra-cluster pair clears the oracle, so the cascade must
-// keep all of them while pruning a healthy share of the background pairs.
+// Every planted intra-cluster pair clears the oracle, so the prefilter
+// must keep all of them while pruning a healthy share of the background pairs.
 TEST(PrefilterTest, KeepsPlantedPairsAndPrunesBackground) {
   const ClusteredDataset ds = MakeDataset(11);
   const PrefilterParams p = SmallParams();
@@ -162,12 +160,11 @@ TEST(PrefilterTest, KeepsPlantedPairsAndPrunesBackground) {
   EXPECT_EQ(stats.pairs_total, 24 * 23 / 2);
   EXPECT_EQ(stats.stage2_survivors,
             static_cast<int64_t>(out.value().survivors.size()));
-  EXPECT_LE(stats.stage2_survivors, stats.stage1_candidates);
   EXPECT_GT(stats.PruningRate(), 0.5);
 }
 
-// best_pearson is a lower bound on the oracle (stage 2 stops scanning at
-// the threshold), and never exceeds it beyond rounding.
+// best_pearson is a lower bound on the oracle (the scan stops at the
+// threshold), and never exceeds it beyond rounding.
 TEST(PrefilterTest, SurvivorEvidenceIsBoundedByTheOracle) {
   const ClusteredDataset ds = MakeDataset(13);
   const PrefilterParams p = SmallParams();
@@ -221,10 +218,10 @@ TEST(PrefilterTest, SurvivorsAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The stage-2 verdict of one pair by the direct per-pair scan: slice the
+// The verdict on one pair by the direct per-pair scan: slice the
 // query and the delay band out of the channels, scan every alignment with
 // its own sums, and stop at the first |r| that reaches the accept level.
-// The cascade reads window moments from per-channel tables and the dot
+// The prefilter reads window moments from per-channel tables and the dot
 // products from simd::SlidingDots; both must reproduce these bits.
 struct DirectVerdict {
   double best = 0.0;
@@ -292,12 +289,51 @@ DirectVerdict DirectScanVerdict(const std::vector<TimeSeries>& channels,
   return v;
 }
 
-// Stage 2 keeps the bits of the direct scan on the shapes its tables and
-// kernel must get right: bands that overlap (hop 16 < 2 td + 1 = 21),
-// bands clipped at 0 and at last_start (452 = 512 - 60, within td of the
-// last grid start 448), a channel whose flat stretch holds whole constant
-// windows (the sigma < 1e-12 branch), T = 0.5 where stage 1 passes every
-// pair and the early exit fires, and T = 0.9 where stage 1 prunes.
+// The prefilter's verdict on every pair equals the direct scan's: exactly
+// the pairs it passes survive, in (a, b) order, each with the direct
+// scan's best |r| bits. Returns how many survivors stopped their scan
+// before the end of the family.
+int ExpectMatchesDirectScan(const std::vector<TimeSeries>& channels,
+                            const PrefilterParams& p, double threshold) {
+  const int n = static_cast<int>(channels.size());
+  // Alignments in one pair's full family: 2 directions x the grid bands.
+  const int64_t last_start = channels[0].size() - p.window;
+  int64_t family = 0;
+  for (int64_t g = 0; g <= last_start; g += p.hop) {
+    family += 2 * (std::min(g + p.td_max, last_start) -
+                   std::max<int64_t>(g - p.td_max, 0) + 1);
+  }
+  const auto out = RunPrefilter(channels, p, threshold, RunContext());
+  EXPECT_TRUE(out.ok()) << out.status().message();
+  if (!out.ok()) return 0;
+  const PrefilterOutcome& o = out.value();
+  int early_exits = 0;
+  size_t next = 0;
+  for (int a = 0; a < n; ++a) {
+    for (int b = a + 1; b < n; ++b) {
+      const DirectVerdict want = DirectScanVerdict(channels, a, b, p,
+                                                   threshold);
+      const bool kept = next < o.survivors.size() &&
+                        o.survivors[next].a == a && o.survivors[next].b == b;
+      EXPECT_EQ(kept, want.pass) << "pair (" << a << ", " << b << ")";
+      if (!kept) continue;
+      EXPECT_EQ(o.survivors[next].best_pearson, std::min(want.best, 1.0))
+          << "pair (" << a << ", " << b << ")";
+      if (want.scanned < family) ++early_exits;
+      ++next;
+    }
+  }
+  EXPECT_EQ(next, o.survivors.size()) << "survivors out of order";
+  return early_exits;
+}
+
+// The prefilter keeps the bits of the direct scan on the shapes its
+// tables and kernel must get right: bands that overlap (hop 16 <
+// 2 td + 1 = 21), bands clipped at 0 and at last_start (452 = 512 - 60,
+// within td of the last grid start 448), a channel whose flat stretch
+// holds whole constant windows (the sigma < 1e-12 branch), and T = 0.5
+// and T = 0.9, where the early exit fires and where most pairs run their
+// whole family.
 TEST(PrefilterTest, StageTwoMatchesTheDirectScanBitForBit) {
   ClusteredDataset ds = MakeDataset(37, /*channels=*/16, /*clusters=*/3,
                                     /*members=*/3);
@@ -313,52 +349,25 @@ TEST(PrefilterTest, StageTwoMatchesTheDirectScanBitForBit) {
                   // moment or Pearson formula changes bits
   p.hop = 16;
   p.td_max = 10;
-  p.paa_segments = 16;  // a sketch fine enough for stage 1 to prune at 0.9
-  p.svd_dims = 3;
-  const int n = static_cast<int>(ds.channels.size());
-  // Alignments in one pair's full family: 2 directions x the grid bands.
-  const int64_t last_start = ds.channels[0].size() - p.window;
-  int64_t family = 0;
-  for (int64_t g = 0; g <= last_start; g += p.hop) {
-    family += 2 * (std::min(g + p.td_max, last_start) -
-                   std::max<int64_t>(g - p.td_max, 0) + 1);
-  }
   for (const double threshold : {0.5, 0.9}) {
     SCOPED_TRACE(testing::Message() << "T = " << threshold);
-    const auto out = RunPrefilter(ds.channels, p, threshold, RunContext());
-    ASSERT_TRUE(out.ok()) << out.status().message();
-    const PrefilterOutcome& o = out.value();
-    if (threshold == 0.5) {
-      EXPECT_EQ(o.stats.stage1_candidates, o.stats.pairs_total);
-    } else {
-      EXPECT_LT(o.stats.stage1_candidates, o.stats.pairs_total);
-    }
-    int early_exits = 0;
-    size_t next = 0;
-    for (int a = 0; a < n; ++a) {
-      for (int b = a + 1; b < n; ++b) {
-        const DirectVerdict want =
-            DirectScanVerdict(ds.channels, a, b, p, threshold);
-        const bool kept = next < o.survivors.size() &&
-                          o.survivors[next].a == a &&
-                          o.survivors[next].b == b;
-        if (!kept) {
-          // Only stage 1 may drop a pair the direct scan passes, and it
-          // drops none at T = 0.5.
-          if (threshold == 0.5) {
-            EXPECT_FALSE(want.pass) << a << "," << b;
-          }
-          continue;
-        }
-        EXPECT_TRUE(want.pass) << a << "," << b;
-        EXPECT_EQ(o.survivors[next].best_pearson, std::min(want.best, 1.0))
-            << "pair (" << a << ", " << b << ")";
-        if (want.scanned < family) ++early_exits;
-        ++next;
-      }
-    }
-    EXPECT_EQ(next, o.survivors.size()) << "survivors out of order";
-    EXPECT_GT(early_exits, 0);
+    EXPECT_GT(ExpectMatchesDirectScan(ds.channels, p, threshold), 0);
+  }
+}
+
+// A band of 81 alignments (td_max = 40) runs through the same kernel and
+// formula, so its best |r| keeps the direct scan's bits too.
+TEST(PrefilterTest, WideBandMatchesTheDirectScanBitForBit) {
+  const ClusteredDataset ds =
+      MakeDataset(31, /*channels=*/10, /*clusters=*/2, /*members=*/2,
+                  /*length=*/384, /*max_delay=*/6);
+  PrefilterParams p = SmallParams();
+  p.window = 60;
+  p.hop = 30;
+  p.td_max = 40;
+  for (const double threshold : {0.4, 0.9}) {
+    SCOPED_TRACE(testing::Message() << "T = " << threshold);
+    EXPECT_GT(ExpectMatchesDirectScan(ds.channels, p, threshold), 0);
   }
 }
 
@@ -381,10 +390,6 @@ TEST(PrefilterTest, ValidatesParams) {
 
   p = SmallParams();
   p.window = 100000;
-  EXPECT_FALSE(RunPrefilter(ds.channels, p, 0.5, RunContext()).ok());
-
-  p = SmallParams();
-  p.svd_dims = p.paa_segments + 1;
   EXPECT_FALSE(RunPrefilter(ds.channels, p, 0.5, RunContext()).ok());
 
   p = SmallParams();

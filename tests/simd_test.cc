@@ -320,30 +320,42 @@ TEST(SimdTest, MinMaxFiniteMatchesScalar) {
   }
 }
 
+// One SlidingDots call against its scalar twin. `t` is unaligned and
+// exactly band + n - 1 long, so an overread past it shows under ASan; the
+// slot after the band must stay unwritten.
+void ExpectSlidingDotsMatch(const Kernels& k, Mix mix, size_t n,
+                            size_t band) {
+  SCOPED_TRACE(testing::Message() << k.name << " mix="
+                                  << static_cast<int>(mix) << " n=" << n
+                                  << " band=" << band);
+  const std::vector<double> q =
+      MakeArray(n, mix, 29 * n + static_cast<size_t>(mix));
+  const std::vector<double> buf = MakeArray(band + n, mix, 31 * band + n);
+  const double* t = buf.data() + 1;  // unaligned, band + n - 1 long
+  std::vector<double> got(band + 1, -1.0), want(band, -1.0);
+  k.sliding_dots(q.data(), n, t, band, got.data());
+  simd::SlidingDotsScalar(q.data(), n, t, band, want.data());
+  for (size_t i = 0; i < band; ++i) {
+    ASSERT_EQ(Bits(got[i]), Bits(want[i])) << "i=" << i;
+  }
+  EXPECT_EQ(got[band], -1.0) << "wrote past the band";
+}
+
 // Every band width through the group splits and the masked last vector,
-// at window lengths below, at, and past the masked final j steps. `t` is
-// unaligned and exactly band + n - 1 long, so an overread past it shows
-// under ASan; the slot after the band must stay unwritten.
+// at window lengths below, at, and past the masked final j steps; then
+// the wide bands of long delay ranges (td_max 40, 64, 128 and 512) at the
+// prefilter's window lengths, which run as several register groups.
 TEST(SimdTest, SlidingDotsMatchesScalar) {
   for (const Kernels& k : AllLevels()) {
     for (Mix mix : {Mix::kUniform, Mix::kDenormal}) {
       for (size_t n : {1u, 3u, 64u, 128u, 129u}) {
-        const std::vector<double> q =
-            MakeArray(n, mix, 29 * n + static_cast<size_t>(mix));
         for (size_t band = 1; band <= 70; ++band) {
-          SCOPED_TRACE(testing::Message()
-                       << k.name << " mix=" << static_cast<int>(mix)
-                       << " n=" << n << " band=" << band);
-          const std::vector<double> buf =
-              MakeArray(band + n, mix, 31 * band + n);
-          const double* t = buf.data() + 1;  // unaligned, band + n - 1 long
-          std::vector<double> got(band + 1, -1.0), want(band, -1.0);
-          k.sliding_dots(q.data(), n, t, band, got.data());
-          simd::SlidingDotsScalar(q.data(), n, t, band, want.data());
-          for (size_t i = 0; i < band; ++i) {
-            ASSERT_EQ(Bits(got[i]), Bits(want[i])) << "i=" << i;
-          }
-          EXPECT_EQ(got[band], -1.0) << "wrote past the band";
+          ExpectSlidingDotsMatch(k, mix, n, band);
+        }
+      }
+      for (size_t n : {64u, 128u, 129u}) {
+        for (size_t band : {81u, 129u, 257u, 1025u}) {
+          ExpectSlidingDotsMatch(k, mix, n, band);
         }
       }
     }
